@@ -112,14 +112,16 @@ void BM_MetaBlocking(benchmark::State& state) {
 }
 BENCHMARK(BM_MetaBlocking);
 
-void BM_LinkIndexAddFind(benchmark::State& state) {
+void BM_LinkIndexPublishFind(benchmark::State& state) {
+  std::vector<LinkIndex::Link> links;
+  for (EntityId e = 0; e + 1 < 10000; e += 2) links.emplace_back(e, e + 1);
   for (auto _ : state) {
     LinkIndex li(10000);
-    for (EntityId e = 0; e + 1 < 10000; e += 2) li.AddLink(e, e + 1);
+    li.PublishLinks(links);
     benchmark::DoNotOptimize(li.Cluster(5000));
   }
 }
-BENCHMARK(BM_LinkIndexAddFind);
+BENCHMARK(BM_LinkIndexPublishFind);
 
 // Engine-wide worker pool for the parallel micro benchmarks, sized by the
 // --threads flag (null = sequential path).

@@ -74,9 +74,10 @@ struct EngineOptions {
   /// Execute/Explain count as one session for their duration.
   /// 1 (default) serializes queries — exactly the single-client engine,
   /// merely made safe to call from any thread. Values > 1 admit that many
-  /// concurrent query sessions, which then resolve through the Link
-  /// Index's reader/writer protocol and the per-table resolution
-  /// coordinator (entity claims + comparison-dedup table). 0 = unlimited.
+  /// concurrent query sessions. 0 = unlimited. The value only bounds
+  /// admission: every session resolves through the same Link Index
+  /// reader/writer protocol and per-table resolution coordinator (entity
+  /// claims + comparison-dedup table), contended or not.
   std::size_t max_concurrent_queries = 1;
   /// Bounded admission: how long (seconds) an arriving session may wait
   /// for an admission slot before the engine sheds it with

@@ -73,17 +73,33 @@ std::vector<Comparison> Deduplicator::BuildComparisons(
 Result<std::vector<EntityId>> Deduplicator::Resolve(
     const std::vector<EntityId>& query_entities,
     std::vector<EntityId>* group_keys) {
-  Result<std::vector<EntityId>> result =
-      concurrent_sessions_ ? ResolveConcurrent(query_entities, group_keys)
-                           : ResolveSerial(query_entities, group_keys);
-  if (!result.ok()) {
-    const Status status = result.status();
+  const Status status = ResolveEntities(query_entities);
+  if (!status.ok()) {
     if (status.IsCancelled() || status.IsDeadlineExceeded()) {
       GlobalEngineMetrics().cancelled_in_resolution->Increment();
     }
-    return result;
+    return status;
   }
-  // A resolution just appended to the durable link log (if one is
+
+  // DR_E = QE ∪ duplicates(QE), ascending and distinct. Membership and
+  // group keys come from ONE consistent snapshot: reading them separately
+  // would let a concurrent publish shear the answer.
+  std::vector<EntityId> result;
+  result.reserve(query_entities.size());  // |DR| >= |QE|; avoids early regrowth.
+  {
+    LinkIndex::ReadView view = runtime_->link_index().SharedSnapshot();
+    for (EntityId e : query_entities) {
+      for (EntityId member : view.Cluster(e)) result.push_back(member);
+    }
+    std::sort(result.begin(), result.end());
+    result.erase(std::unique(result.begin(), result.end()), result.end());
+    if (group_keys != nullptr) {
+      group_keys->clear();
+      group_keys->reserve(result.size());
+      for (EntityId e : result) group_keys->push_back(view.Representative(e));
+    }
+  }
+  // A resolution may just have appended to the durable link log (if one is
   // attached); compact it when it outgrew the threshold. Outside the Link
   // Index lock by construction, and a compaction failure only defers
   // truncation — the query's answer is unaffected.
@@ -91,99 +107,36 @@ Result<std::vector<EntityId>> Deduplicator::Resolve(
   return result;
 }
 
-Result<std::vector<EntityId>> Deduplicator::ResolveSerial(
-    const std::vector<EntityId>& query_entities,
-    std::vector<EntityId>* group_keys) {
-  LinkIndex& li = runtime_->link_index();
-  stats_->query_entities += query_entities.size();
-
-  // Split QE into already-resolved (link-set known) and fresh entities.
-  std::vector<EntityId> unresolved;
-  unresolved.reserve(query_entities.size());
-  for (EntityId e : query_entities) {
-    if (li.IsResolved(e)) {
-      ++stats_->entities_already_resolved;
-    } else {
-      unresolved.push_back(e);
-    }
-  }
-
-  const EngineMetrics& metrics = GlobalEngineMetrics();
-  metrics.link_index_hits->Increment(query_entities.size() -
-                                     unresolved.size());
-  metrics.link_index_misses->Increment(unresolved.size());
-
-  if (!unresolved.empty()) {
-    std::vector<Comparison> comparisons = BuildComparisons(unresolved);
-
-    // (iv) Comparison-Execution; amends the Link Index with new links.
-    Stopwatch watch;
-    TraceSpan span(trace_, "resolution", "er");
-    QUERYER_ASSIGN_OR_RETURN(
-        ComparisonExecStats exec_stats,
-        ExecuteComparisons(runtime_->table(), comparisons,
-                           runtime_->matching_config(), &li,
-                           &runtime_->attribute_weights(), pool_, cancel_));
-    stats_->resolution_seconds += watch.ElapsedSeconds();
-    stats_->comparisons_executed += exec_stats.executed;
-    stats_->comparisons_skipped_linked += exec_stats.skipped_linked;
-    stats_->matches_found += exec_stats.matches_found;
-    metrics.comparisons_executed->Increment(exec_stats.executed);
-    metrics.comparisons_skipped_linked->Increment(exec_stats.skipped_linked);
-    metrics.matches_found->Increment(exec_stats.matches_found);
-    span.set_args("\"comparisons\":" + std::to_string(exec_stats.executed) +
-                  ",\"matches\":" + std::to_string(exec_stats.matches_found));
-
-    li.MarkResolvedBatch(unresolved);
-  }
-
-  // DR_E = QE ∪ duplicates(QE), ascending and distinct.
-  std::vector<EntityId> result;
-  result.reserve(query_entities.size());  // |DR| >= |QE|; avoids early regrowth.
-  for (EntityId e : query_entities) {
-    for (EntityId member : li.Cluster(e)) result.push_back(member);
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  if (group_keys != nullptr) {
-    group_keys->clear();
-    group_keys->reserve(result.size());
-    for (EntityId e : result) group_keys->push_back(li.Representative(e));
-  }
-  return result;
-}
-
 Status Deduplicator::EvaluateAndPublishOwned(
     const std::vector<Comparison>& owned) {
-  LinkIndex& li = runtime_->link_index();
   ResolutionCoordinator& coordinator = runtime_->coordinator();
   // Failures arrive two ways: error Statuses from the evaluation (cancel
   // poll, injected chunk errors) and exceptions (injected publish throws,
-  // bad_alloc). Both take the abandon path below.
+  // WAL append failures, bad_alloc). Both take the abandon path below.
   Status status;
   try {
     Stopwatch watch;
     TraceSpan span(trace_, "resolution", "er");
-    Result<StagedComparisons> staged_result = EvaluateComparisons(
-        runtime_->table(), owned, runtime_->matching_config(), li,
-        &runtime_->attribute_weights(), pool_, cancel_);
-    if (staged_result.ok()) {
-      StagedComparisons staged = staged_result.MoveValueUnsafe();
-      const std::uint64_t published = li.PublishLinks(staged.matched);
-      stats_->comparisons_executed += staged.executed;
-      stats_->comparisons_skipped_linked += staged.skipped_linked;
-      stats_->matches_found += published;
+    Result<ComparisonExecStats> executed = ExecuteComparisons(
+        runtime_->table(), owned, runtime_->matching_config(),
+        &runtime_->link_index(), &runtime_->attribute_weights(), pool_,
+        cancel_);
+    if (executed.ok()) {
+      const ComparisonExecStats& counts = *executed;
+      stats_->comparisons_executed += counts.executed;
+      stats_->comparisons_skipped_linked += counts.skipped_linked;
+      stats_->matches_found += counts.matches_found;
       stats_->resolution_seconds += watch.ElapsedSeconds();
       const EngineMetrics& metrics = GlobalEngineMetrics();
-      metrics.comparisons_executed->Increment(staged.executed);
-      metrics.comparisons_skipped_linked->Increment(staged.skipped_linked);
-      metrics.matches_found->Increment(published);
-      span.set_args("\"comparisons\":" + std::to_string(staged.executed) +
-                    ",\"matches\":" + std::to_string(published));
+      metrics.comparisons_executed->Increment(counts.executed);
+      metrics.comparisons_skipped_linked->Increment(counts.skipped_linked);
+      metrics.matches_found->Increment(counts.matches_found);
+      span.set_args("\"comparisons\":" + std::to_string(counts.executed) +
+                    ",\"matches\":" + std::to_string(counts.matches_found));
       coordinator.ReleaseComparisons(owned);
       return Status::OK();
     }
-    status = staged_result.status();
+    status = executed.status();
   } catch (const std::exception& e) {
     status = Status::Internal(e.what());
   } catch (...) {
@@ -244,9 +197,8 @@ Status Deduplicator::ResolveClaimed(const std::vector<EntityId>& claimed) {
   return status;
 }
 
-Result<std::vector<EntityId>> Deduplicator::ResolveConcurrent(
-    const std::vector<EntityId>& query_entities,
-    std::vector<EntityId>* group_keys) {
+Status Deduplicator::ResolveEntities(
+    const std::vector<EntityId>& query_entities) {
   LinkIndex& li = runtime_->link_index();
   ResolutionCoordinator& coordinator = runtime_->coordinator();
   stats_->query_entities += query_entities.size();
@@ -269,7 +221,7 @@ Result<std::vector<EntityId>> Deduplicator::ResolveConcurrent(
   // *released*, not resolved (its owner may have failed), in which case
   // this session adopts it on the next iteration. Each iteration either
   // finishes every pending entity or adopts from a failed session, so the
-  // loop terminates with all query entities resolved (or throws).
+  // loop terminates with all query entities resolved (or fails).
   while (!claim.claimed.empty() || !claim.foreign.empty()) {
     // Poll between iterations too: an adopt-and-retry loop must not outlive
     // its session's cancellation. The poll fires while this session may
@@ -290,26 +242,7 @@ Result<std::vector<EntityId>> Deduplicator::ResolveConcurrent(
     coordinator.AwaitEntities(claim.foreign);
     claim = coordinator.ClaimEntities(claim.foreign, li);
   }
-
-  // DR_E = QE ∪ duplicates(QE), ascending and distinct. Membership and
-  // group keys come from ONE consistent snapshot: reading them separately
-  // would let a concurrent publish shear the answer.
-  std::vector<EntityId> result;
-  result.reserve(query_entities.size());
-  {
-    LinkIndex::ReadView view = li.SharedSnapshot();
-    for (EntityId e : query_entities) {
-      for (EntityId member : view.Cluster(e)) result.push_back(member);
-    }
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    if (group_keys != nullptr) {
-      group_keys->clear();
-      group_keys->reserve(result.size());
-      for (EntityId e : result) group_keys->push_back(view.Representative(e));
-    }
-  }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace queryer

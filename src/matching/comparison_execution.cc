@@ -1,55 +1,69 @@
 #include "matching/comparison_execution.h"
 
+#include <unordered_map>
+
 #include "common/failpoint.h"
 
 namespace queryer {
 
 namespace {
 
-Result<ComparisonExecStats> ExecuteComparisonsSequential(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights, const CancelContext* cancel) {
-  // The same site as the parallel chunk bodies: a sequential execution is
-  // one chunk, so chaos specs behave uniformly across engine widths.
-  QUERYER_FAILPOINT("er.comparison_chunk");
-  ComparisonExecStats stats;
-  std::size_t visited = 0;
-  for (const auto& [a, b] : comparisons) {
-    if (cancel != nullptr && visited % CancelContext::kPollInterval == 0) {
-      QUERYER_RETURN_NOT_OK(cancel->Check());
-    }
-    ++visited;
-    if (link_index->AreLinked(a, b)) {
-      ++stats.skipped_linked;
-      continue;
-    }
-    ++stats.executed;
-    double similarity =
-        ProfileSimilarity(table, a, b, config, weights);
-    if (similarity >= config.threshold) {
-      link_index->AddLink(a, b);
-      ++stats.matches_found;
-    }
+// Union-find over the Link Index representatives of one chunk's pending
+// pairs. It holds only the links the chunk's own matches add, so two
+// representatives it joins are linked by an earlier comparison of this
+// run — exactly the pairs a loop that links each match as it goes skips.
+class InRunLinks {
+ public:
+  bool Joined(EntityId rep_a, EntityId rep_b) {
+    return Find(Slot(rep_a)) == Find(Slot(rep_b));
   }
-  return stats;
-}
+  void Join(EntityId rep_a, EntityId rep_b) {
+    const std::uint32_t root_a = Find(Slot(rep_a));
+    const std::uint32_t root_b = Find(Slot(rep_b));
+    parent_[root_a] = root_b;
+  }
+
+ private:
+  // Dense slot of a representative, created on first use.
+  std::uint32_t Slot(EntityId rep) {
+    const auto [it, inserted] = slots_.try_emplace(
+        rep, static_cast<std::uint32_t>(parent_.size()));
+    if (inserted) parent_.push_back(it->second);
+    return it->second;
+  }
+  std::uint32_t Find(std::uint32_t slot) {
+    while (parent_[slot] != slot) {
+      parent_[slot] = parent_[parent_[slot]];
+      slot = parent_[slot];
+    }
+    return slot;
+  }
+
+  std::unordered_map<EntityId, std::uint32_t> slots_;
+  std::vector<std::uint32_t> parent_;
+};
+
+// A comparison that survived the snapshot check, with the representatives
+// its endpoints had in that snapshot.
+struct PendingComparison {
+  Comparison pair;
+  EntityId rep_a;
+  EntityId rep_b;
+};
+
+struct ChunkResult {
+  std::vector<Comparison> matched;
+  std::size_t executed = 0;
+  std::size_t skipped_linked = 0;
+};
 
 }  // namespace
 
-Result<StagedComparisons> EvaluateComparisons(
+Result<ComparisonExecStats> ExecuteComparisons(
     const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, const LinkIndex& link_index,
+    const MatchingConfig& config, LinkIndex* link_index,
     const AttributeWeights* weights, ThreadPool* pool,
     const CancelContext* cancel) {
-  StagedComparisons staged;
-  if (comparisons.empty()) return staged;
-
-  struct ChunkResult {
-    std::vector<Comparison> pending;
-    std::vector<Comparison> matched;
-    std::size_t skipped_linked = 0;
-  };
   const bool parallel = pool != nullptr && pool->num_threads() >= 2 &&
                         comparisons.size() >= kParallelComparisonThreshold;
   std::vector<ChunkRange> chunks =
@@ -63,34 +77,45 @@ Result<StagedComparisons> EvaluateComparisons(
         // Deduplicator wraps around this call.
         QUERYER_FAILPOINT("er.comparison_chunk");
         ChunkResult& result = results[chunk];
-        // Pass 1, under one shared snapshot per chunk: drop pairs that are
-        // already linked. Separated from the similarity pass so the shared
-        // lock covers only cheap forest walks and concurrent publishers are
-        // not stalled behind string similarity computation.
+        // Pass 1, under one shared snapshot: drop pairs that are already
+        // linked and note the others' representatives. Separated from the
+        // similarity pass so the shared lock covers only cheap forest walks
+        // and concurrent publishers are not stalled behind string
+        // similarity computation.
+        std::vector<PendingComparison> pending;
         {
-          LinkIndex::ReadView view = link_index.SharedSnapshot();
+          LinkIndex::ReadView view = link_index->SharedSnapshot();
           for (std::size_t i = begin; i < end; ++i) {
-            const auto& [a, b] = comparisons[i];
-            if (view.AreLinked(a, b)) {
+            const EntityId rep_a = view.Representative(comparisons[i].first);
+            const EntityId rep_b = view.Representative(comparisons[i].second);
+            if (rep_a == rep_b) {
               ++result.skipped_linked;
             } else {
-              result.pending.emplace_back(a, b);
+              pending.push_back({comparisons[i], rep_a, rep_b});
             }
           }
         }
-        // Pass 2, lock-free: evaluate the survivors and buffer the matches.
-        // The cancel poll lives here because this pass is where a cold-LI
-        // resolution spends its seconds.
-        std::size_t evaluated = 0;
-        for (const auto& [a, b] : result.pending) {
-          if (cancel != nullptr &&
-              evaluated % CancelContext::kPollInterval == 0) {
+        // Pass 2, lock-free: evaluate the survivors the chunk's own matches
+        // have not linked yet, and buffer the matches. The cancel poll
+        // lives here because this pass is where a cold-LI resolution
+        // spends its seconds.
+        InRunLinks in_run;
+        std::size_t visited = 0;
+        for (const PendingComparison& p : pending) {
+          if (cancel != nullptr && visited % CancelContext::kPollInterval == 0) {
             QUERYER_RETURN_NOT_OK(cancel->Check());
           }
-          ++evaluated;
-          double similarity =
-              ProfileSimilarity(table, a, b, config, weights);
-          if (similarity >= config.threshold) result.matched.emplace_back(a, b);
+          ++visited;
+          if (in_run.Joined(p.rep_a, p.rep_b)) {
+            ++result.skipped_linked;
+            continue;
+          }
+          ++result.executed;
+          if (ProfileSimilarity(table, p.pair.first, p.pair.second, config,
+                                weights) >= config.threshold) {
+            result.matched.push_back(p.pair);
+            in_run.Join(p.rep_a, p.rep_b);
+          }
         }
         return Status::OK();
       });
@@ -98,39 +123,18 @@ Result<StagedComparisons> EvaluateComparisons(
   // written to the Link Index, so the caller can abandon or retry freely.
   QUERYER_RETURN_NOT_OK(status);
 
-  // Assemble in chunk order: deterministic for a given input order no
-  // matter how the chunks were scheduled.
-  for (ChunkResult& result : results) {
-    staged.executed += result.pending.size();
-    staged.skipped_linked += result.skipped_linked;
-    staged.matched.insert(staged.matched.end(), result.matched.begin(),
-                          result.matched.end());
-  }
-  return staged;
-}
-
-Result<ComparisonExecStats> ExecuteComparisons(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights, ThreadPool* pool,
-    const CancelContext* cancel) {
-  if (pool == nullptr || pool->num_threads() < 2 ||
-      comparisons.size() < kParallelComparisonThreshold) {
-    return ExecuteComparisonsSequential(table, comparisons, config, link_index,
-                                        weights, cancel);
-  }
-  // Parallel path: staged read-only evaluation, then one exclusive publish.
-  // Matches whose endpoints were linked transitively by an earlier buffered
-  // link are no-op merges, so matches_found counts exactly the merges the
-  // sequential loop performs.
-  QUERYER_ASSIGN_OR_RETURN(
-      StagedComparisons staged,
-      EvaluateComparisons(table, comparisons, config, *link_index, weights,
-                          pool, cancel));
+  // Assemble in chunk order: input order, no matter how the chunks were
+  // scheduled, so the published merges — and with them the cluster
+  // representatives — are the same at every pool width.
   ComparisonExecStats stats;
-  stats.executed = staged.executed;
-  stats.skipped_linked = staged.skipped_linked;
-  stats.matches_found = link_index->PublishLinks(staged.matched);
+  std::vector<Comparison> matched;
+  for (const ChunkResult& result : results) {
+    stats.executed += result.executed;
+    stats.skipped_linked += result.skipped_linked;
+    matched.insert(matched.end(), result.matched.begin(),
+                   result.matched.end());
+  }
+  stats.matches_found = link_index->PublishLinks(matched);
   return stats;
 }
 

@@ -22,85 +22,47 @@ namespace queryer {
 struct ComparisonExecStats {
   /// Comparisons actually evaluated with the similarity function.
   std::size_t executed = 0;
-  /// Comparisons skipped because the pair was already linked in LI.
+  /// Comparisons skipped because the pair was already linked, in the Link
+  /// Index or by an earlier match of the same run.
   std::size_t skipped_linked = 0;
+  /// Clusters merged by the run's matches.
   std::size_t matches_found = 0;
 };
 
-/// \brief Outcome of the staged (read-only) evaluation used by concurrent
-/// query sessions: matches are buffered instead of written, so the caller
-/// can publish them to the Link Index in one short exclusive section.
-struct StagedComparisons {
-  /// Pairs whose profile similarity cleared the matching threshold, in
-  /// input order.
-  std::vector<Comparison> matched;
-  std::size_t executed = 0;
-  std::size_t skipped_linked = 0;
-};
-
-/// Below this many comparisons the parallel path is not worth its task
-/// submission and merge overhead; the sequential loop runs instead.
+/// Below this many comparisons the run is one chunk even with a
+/// multi-worker pool: task submission would cost more than it saves.
 inline constexpr std::size_t kParallelComparisonThreshold = 256;
 
 /// \brief Executes the comparisons, amending `link_index` with new links.
 ///
-/// A pair already linked in the index is not re-compared (its outcome is
-/// known), which is how the LI makes repeated/overlapping queries cheaper.
-/// `weights` are the table's attribute-distinctiveness weights (may be
-/// null for uniform weighting).
+/// A pair already linked is not re-compared (its outcome is known), which
+/// is how the LI makes repeated/overlapping queries cheaper. `weights` are
+/// the table's attribute-distinctiveness weights (may be null for uniform
+/// weighting).
 ///
-/// With a multi-worker `pool` and enough comparisons the run is split into
-/// two phases: a parallel read-only phase (EvaluateComparisons) that
-/// partitions the comparison list into contiguous chunks and evaluates each
-/// chunk against a shared snapshot of the Link Index (no writes), buffering
-/// the matches per chunk; then a single exclusive publish that applies the
-/// buffered links in chunk order. The resulting clustering — and therefore the query answer,
-/// LinkIndex::num_links() and `matches_found` — is identical to the
-/// sequential path: pairs the sequential loop skips because an earlier
-/// comparison of the same run linked them transitively are no-op merges
-/// here. Only `executed` / `skipped_linked` may differ (the parallel phase
-/// skips against the snapshot at phase start, so it can evaluate a superset
-/// of the sequential pairs).
+/// The run evaluates read-only, then publishes once. The comparison list is
+/// split into contiguous chunks (one per worker of a multi-worker `pool`
+/// when there are enough comparisons, else one chunk run inline). Each
+/// chunk first reads the Link Index representatives of its pairs under one
+/// shared snapshot and drops pairs that are already linked; it then
+/// evaluates the rest without any lock, skipping a pair when the chunk's
+/// own earlier matches have already connected its two representatives.
+/// The matches are published with one LinkIndex::PublishLinks, in input
+/// order. With one chunk this makes exactly the skip decisions of a loop
+/// that links each match as it finds it; with several chunks a pair linked
+/// only through another chunk's matches is evaluated, and its match is a
+/// no-op merge at publish. The clustering, num_links() and
+/// `matches_found` do not depend on the chunking.
 ///
 /// `cancel` (optional) is polled every CancelContext::kPollInterval
-/// comparisons; on Cancelled/DeadlineExceeded the run stops early with that
-/// Status. The parallel path stages its matches and publishes only on
-/// success, so a failed parallel run leaves the index untouched; the
-/// sequential path writes links as it matches, so comparisons evaluated
-/// before the cancel may already be published. That partial publish keeps
-/// the index consistent — every published link is a genuine match — and the
-/// caller leaves the entities unmarked-resolved, so a later session redoes
-/// the remainder. Errors injected at the `er.comparison_chunk` failpoint
-/// surface the same way.
+/// evaluated comparisons per chunk. A cancelled or failed run (the first
+/// failing chunk's Status wins, as in ParallelFor) returns that Status and
+/// publishes nothing; so does a run whose publish throws (an injected
+/// `li.publish` fault or a WAL append failure), which leaves the index
+/// untouched.
 Result<ComparisonExecStats> ExecuteComparisons(
     const Table& table, const std::vector<Comparison>& comparisons,
     const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights = nullptr, ThreadPool* pool = nullptr,
-    const CancelContext* cancel = nullptr);
-
-/// \brief Read-only comparison evaluation against a shared snapshot of
-/// `link_index` — the staged half of the concurrent-session protocol.
-///
-/// Never writes the index: pairs already linked are skipped (counted in
-/// `skipped_linked`, consulting a shared snapshot taken per chunk so the
-/// skip check stays cheap while concurrent publishers make progress), the
-/// rest are evaluated and the matches buffered for the caller to publish
-/// with LinkIndex::PublishLinks. Safe to call from any number of sessions
-/// while others publish. The skip check is an optimization against a
-/// possibly stale snapshot: evaluating an already-linked pair only yields a
-/// no-op merge at publish time, so the final clustering is unaffected.
-///
-/// With a multi-worker `pool` and enough comparisons the chunks run in
-/// parallel; `matched` is assembled in chunk order either way, so the
-/// staged buffer is deterministic for a given input order.
-///
-/// `cancel` is polled inside the similarity pass (every
-/// CancelContext::kPollInterval comparisons, per chunk); the first failing
-/// chunk's Status wins, exactly like ParallelFor's first-error-wins rule,
-/// so a cancelled evaluation reports deterministically.
-Result<StagedComparisons> EvaluateComparisons(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, const LinkIndex& link_index,
     const AttributeWeights* weights = nullptr, ThreadPool* pool = nullptr,
     const CancelContext* cancel = nullptr);
 

@@ -101,18 +101,10 @@ AttributeWeights AttributeWeights::Compute(const Table& table) {
   return result;
 }
 
-namespace {
-
-// Shared body of both ProfileSimilarity overloads. `value_at(which, i)`
-// returns attribute i of profile a (which=0) or b (which=1) as a
-// string_view; `known_equal(i)` may return true when both profiles'
-// attribute i values are byte-identical (the columnar overload's
-// dictionary-code shortcut) — false means "unknown", never "unequal".
-template <typename ValueAtFn, typename KnownEqualFn>
-double ProfileSimilarityImpl(std::size_t attributes, const ValueAtFn& value_at,
-                             const KnownEqualFn& known_equal,
-                             const MatchingConfig& config,
-                             const AttributeWeights* weights) {
+double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
+                         const MatchingConfig& config,
+                         const AttributeWeights* weights) {
+  const std::size_t attributes = table.num_attributes();
   auto weight_of = [&](std::size_t attribute) {
     return weights == nullptr ? 1.0 : weights->weight(attribute);
   };
@@ -124,15 +116,16 @@ double ProfileSimilarityImpl(std::size_t attributes, const ValueAtFn& value_at,
   for (std::size_t i = 0; i < attributes; ++i) {
     if (IsExcluded(config, i)) continue;
     total_weight += weight_of(i);
-    const std::string_view va = value_at(0, i);
-    const std::string_view vb = value_at(1, i);
+    const std::string_view va = table.ValueAt(a, i);
+    const std::string_view vb = table.ValueAt(b, i);
     if (va.empty() || vb.empty()) continue;  // No evidence either way.
     double w = weight_of(i);
-    // Identical values score 1 by construction; the code shortcut skips
-    // the tokenization. ValueSimilarity is case-insensitive internally, so
-    // raw views compare exactly as the lower-cased copies used to.
-    aligned_total +=
-        w * (known_equal(i) ? 1.0 : ValueSimilarity(va, vb, config));
+    // Identical values score 1 by construction; equal dictionary codes
+    // skip the tokenization. ValueSimilarity is case-insensitive
+    // internally, so raw views compare exactly as lower-cased copies.
+    aligned_total += w * (table.CodeAt(a, i) == table.CodeAt(b, i)
+                              ? 1.0
+                              : ValueSimilarity(va, vb, config));
     aligned_weight += w;
   }
   double aligned = aligned_weight == 0 ? 0.0 : aligned_total / aligned_weight;
@@ -150,12 +143,12 @@ double ProfileSimilarityImpl(std::size_t attributes, const ValueAtFn& value_at,
   // Each token carries the distinctiveness weight of the attribute it came
   // from (the max across occurrences), so code-list tokens contribute
   // little even through this channel.
-  auto gather = [&](int which) {
+  auto gather = [&](EntityId entity) {
     std::vector<std::pair<std::string, double>> tokens;
     for (std::size_t i = 0; i < attributes; ++i) {
       if (IsExcluded(config, i)) continue;
       double w = weight_of(i);
-      for (auto& token : TokenizeAlnum(value_at(which, i), 1)) {
+      for (auto& token : TokenizeAlnum(table.ValueAt(entity, i), 1)) {
         tokens.emplace_back(std::move(token), w);
       }
     }
@@ -174,8 +167,8 @@ double ProfileSimilarityImpl(std::size_t attributes, const ValueAtFn& value_at,
     tokens.resize(out);
     return tokens;
   };
-  std::vector<std::pair<std::string, double>> tokens_a = gather(0);
-  std::vector<std::pair<std::string, double>> tokens_b = gather(1);
+  std::vector<std::pair<std::string, double>> tokens_a = gather(a);
+  std::vector<std::pair<std::string, double>> tokens_b = gather(b);
   double cosine = 0;
   if (!tokens_a.empty() && !tokens_b.empty()) {
     double dot = 0;
@@ -208,45 +201,6 @@ double ProfileSimilarityImpl(std::size_t attributes, const ValueAtFn& value_at,
           : cosine;
 
   return std::max(aligned, cosine_scaled);
-}
-
-}  // namespace
-
-double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
-                         const MatchingConfig& config,
-                         const AttributeWeights* weights) {
-  return ProfileSimilarityImpl(
-      table.num_attributes(),
-      [&](int which, std::size_t i) {
-        return table.ValueAt(which == 0 ? a : b, i);
-      },
-      [&](std::size_t i) { return table.CodeAt(a, i) == table.CodeAt(b, i); },
-      config, weights);
-}
-
-double ProfileSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b,
-                         const MatchingConfig& config,
-                         const AttributeWeights* weights) {
-  return ProfileSimilarityImpl(
-      std::min(a.size(), b.size()),
-      [&](int which, std::size_t i) {
-        return std::string_view(which == 0 ? a[i] : b[i]);
-      },
-      [](std::size_t) { return false; }, config, weights);
-}
-
-bool ProfilesMatch(const Table& table, EntityId a, EntityId b,
-                   const MatchingConfig& config,
-                   const AttributeWeights* weights) {
-  return ProfileSimilarity(table, a, b, config, weights) >= config.threshold;
-}
-
-bool ProfilesMatch(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b,
-                   const MatchingConfig& config,
-                   const AttributeWeights* weights) {
-  return ProfileSimilarity(a, b, config, weights) >= config.threshold;
 }
 
 }  // namespace queryer

@@ -103,22 +103,6 @@ double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
                          const MatchingConfig& config,
                          const AttributeWeights* weights = nullptr);
 
-/// \brief The same similarity over two ad-hoc value vectors (profiles not
-/// backed by a table).
-double ProfileSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b,
-                         const MatchingConfig& config,
-                         const AttributeWeights* weights = nullptr);
-
-/// \brief Convenience predicate: ProfileSimilarity >= config.threshold.
-bool ProfilesMatch(const Table& table, EntityId a, EntityId b,
-                   const MatchingConfig& config,
-                   const AttributeWeights* weights = nullptr);
-bool ProfilesMatch(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b,
-                   const MatchingConfig& config,
-                   const AttributeWeights* weights = nullptr);
-
 }  // namespace queryer
 
 #endif  // QUERYER_MATCHING_PROFILE_MATCHER_H_

@@ -71,7 +71,7 @@ class ResolutionCoordinator {
   /// path (resolution threw), release WITHOUT marking resolved: unlike
   /// comparisons, entity state is re-checkable, so a waiter re-claims the
   /// still-unresolved leftovers by looping ClaimEntities after
-  /// AwaitEntities (see Deduplicator::ResolveConcurrent).
+  /// AwaitEntities (see Deduplicator::ResolveEntities).
   void ReleaseEntities(const std::vector<EntityId>& claimed);
 
   /// Blocks until none of `foreign` is claimed by any in-flight session.

@@ -255,8 +255,8 @@ double StatisticsCache::DuplicationFactor(TableRuntime* runtime) {
                       runtime->thread_pool());
   LinkIndex scratch(n);
   // Offline statistic with no cancel context: failure is impossible here
-  // outside injected chaos, and an injected one just degrades the sample
-  // to whatever was linked before the failure.
+  // outside injected chaos, and an injected one publishes nothing, which
+  // degrades the sample to its unlinked selection.
   (void)ExecuteComparisons(table, refined.comparisons,
                            runtime->matching_config(), &scratch,
                            &runtime->attribute_weights());

@@ -508,42 +508,48 @@ TEST_F(CursorTest, DeadlineMidResolutionPreemptsAndLeavesNoClaims) {
   auto reference = reference_engine->Execute(dedup);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  // max_concurrent=2 selects the concurrent claim/publish protocol, so the
-  // pre-emption exercises claim release, not just the serial early-out.
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16,
-                           /*num_threads=*/1, /*max_concurrent=*/2,
-                           /*deadline=*/0.25);
-  ASSERT_TRUE(Failpoints::Global()
-                  .Arm("er.comparison_chunk", "delay(400)")
-                  .ok());
+  // One resolution path at every admission width: the pre-emption must
+  // release every claim and publish nothing, alone or beside others.
+  for (std::size_t max_concurrent : {1, 2}) {
+    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
+    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16,
+                             /*num_threads=*/1, max_concurrent,
+                             /*deadline=*/0.25);
+    auto runtime = engine->GetRuntime("dsd");
+    ASSERT_TRUE(runtime.ok());
+    ASSERT_TRUE(Failpoints::Global()
+                    .Arm("er.comparison_chunk", "delay(400)")
+                    .ok());
 
-  // Through the cursor's Next.
-  auto cursor = engine->ExecuteStream(dedup);
-  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
-  auto has = (*cursor)->Next(&batch);
-  ASSERT_FALSE(has.ok());
-  EXPECT_TRUE(has.status().IsDeadlineExceeded()) << has.status().ToString();
-  (*cursor)->Close();
+    // Through the cursor's Next.
+    auto cursor = engine->ExecuteStream(dedup);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    RowBatch batch((*cursor)->batch_size());
+    auto has = (*cursor)->Next(&batch);
+    ASSERT_FALSE(has.ok());
+    EXPECT_TRUE(has.status().IsDeadlineExceeded()) << has.status().ToString();
+    (*cursor)->Close();
 
-  // Through Execute (the LI is still cold — nothing was published).
-  auto via_execute = engine->Execute(dedup);
-  ASSERT_FALSE(via_execute.ok());
-  EXPECT_TRUE(via_execute.status().IsDeadlineExceeded())
-      << via_execute.status().ToString();
+    // Through Execute (the LI is still cold — nothing was published).
+    EXPECT_EQ((*runtime)->link_index().num_links(), 0u);
+    auto via_execute = engine->Execute(dedup);
+    ASSERT_FALSE(via_execute.ok());
+    EXPECT_TRUE(via_execute.status().IsDeadlineExceeded())
+        << via_execute.status().ToString();
 
-  // Both pre-empted sessions released every coordinator claim.
-  auto runtime = engine->GetRuntime("dsd");
-  ASSERT_TRUE(runtime.ok());
-  EXPECT_EQ((*runtime)->coordinator().num_entities_in_flight(), 0u);
-  EXPECT_EQ((*runtime)->coordinator().num_comparisons_in_flight(), 0u);
+    // Both pre-empted sessions released every coordinator claim and
+    // published no link.
+    EXPECT_EQ((*runtime)->link_index().num_links(), 0u);
+    EXPECT_EQ((*runtime)->coordinator().num_entities_in_flight(), 0u);
+    EXPECT_EQ((*runtime)->coordinator().num_comparisons_in_flight(), 0u);
 
-  // Disarmed and deadline-free, the same engine resolves correctly.
-  Failpoints::Global().Disarm("er.comparison_chunk");
-  engine->set_default_query_deadline(0);
-  auto recovered = engine->Execute(dedup);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->rows, reference->rows);
+    // Disarmed and deadline-free, the same engine resolves correctly.
+    Failpoints::Global().Disarm("er.comparison_chunk");
+    engine->set_default_query_deadline(0);
+    auto recovered = engine->Execute(dedup);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->rows, reference->rows);
+  }
 }
 
 }  // namespace

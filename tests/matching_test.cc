@@ -129,25 +129,38 @@ TEST(ValueSimilarityTest, TokenSwapsAreFree) {
       ValueSimilarity("davidson lisa", "lisa davidson", config), 1.0);
 }
 
+// A two-row table holding profiles `a` (row 0) and `b` (row 1); attribute
+// 0 is the id TestConfig excludes.
+TablePtr PairTable(const std::vector<std::string>& a,
+                   const std::vector<std::string>& b) {
+  std::vector<std::string> columns;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    columns.push_back("c" + std::to_string(i));
+  }
+  TableBuilder builder("pair", Schema(columns));
+  EXPECT_TRUE(builder.AddRow(a).ok());
+  EXPECT_TRUE(builder.AddRow(b).ok());
+  return builder.Build();
+}
+
 TEST(ProfileSimilarityTest, SkipsMissingValues) {
-  std::vector<std::string> a = {"id1", "Collective Entity Resolution", "",
-                                "EDBT"};
-  std::vector<std::string> b = {"id2", "Collective Entity Resolution",
-                                "Allan Blake", "EDBT"};
+  TablePtr t = PairTable(
+      {"id1", "Collective Entity Resolution", "", "EDBT"},
+      {"id2", "Collective Entity Resolution", "Allan Blake", "EDBT"});
   // Attribute 2 is skipped (empty on one side); the rest are identical.
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 1.0);
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 1.0);
 }
 
 TEST(ProfileSimilarityTest, CaseInsensitive) {
-  std::vector<std::string> a = {"x", "EDBT"};
-  std::vector<std::string> b = {"x", "edbt"};
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 1.0);
+  // Different dictionary codes, so the value comparison itself must fold
+  // case.
+  TablePtr t = PairTable({"1", "EDBT"}, {"2", "edbt"});
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 1.0);
 }
 
 TEST(ProfileSimilarityTest, AllMissingIsZero) {
-  std::vector<std::string> a = {"x", "", ""};
-  std::vector<std::string> b = {"x", "", "y"};
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 0.0);
+  TablePtr t = PairTable({"1", "", ""}, {"2", "", "y"});
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 0.0);
 }
 
 TEST(ProfileSimilarityTest, CrossAttributeContentViaCosine) {
@@ -230,8 +243,7 @@ TEST(LinkIndexTest, SingletonsInitially) {
 
 TEST(LinkIndexTest, TransitiveClosure) {
   LinkIndex li(6);
-  li.AddLink(0, 1);
-  li.AddLink(1, 2);
+  li.PublishLinks({{0, 1}, {1, 2}});
   EXPECT_TRUE(li.AreLinked(0, 2));
   EXPECT_EQ(li.Cluster(1), (std::vector<EntityId>{0, 1, 2}));
   EXPECT_EQ(li.Duplicates(0), (std::vector<EntityId>{1, 2}));
@@ -242,19 +254,17 @@ TEST(LinkIndexTest, TransitiveClosure) {
 
 TEST(LinkIndexTest, RedundantLinkIgnored) {
   LinkIndex li(4);
-  li.AddLink(0, 1);
-  li.AddLink(1, 0);
-  li.AddLink(0, 1);
+  EXPECT_EQ(li.PublishLinks({{0, 1}, {1, 0}}), 1u);
+  EXPECT_EQ(li.PublishLinks({{0, 1}}), 0u);
   EXPECT_EQ(li.num_links(), 1u);
   EXPECT_EQ(li.Cluster(0).size(), 2u);
 }
 
 TEST(LinkIndexTest, MergeTwoClusters) {
   LinkIndex li(6);
-  li.AddLink(0, 1);
-  li.AddLink(2, 3);
+  li.PublishLinks({{0, 1}, {2, 3}});
   EXPECT_FALSE(li.AreLinked(0, 3));
-  li.AddLink(1, 2);
+  li.PublishLinks({{1, 2}});
   EXPECT_TRUE(li.AreLinked(0, 3));
   EXPECT_EQ(li.Cluster(3), (std::vector<EntityId>{0, 1, 2, 3}));
 }
@@ -262,16 +272,16 @@ TEST(LinkIndexTest, MergeTwoClusters) {
 TEST(LinkIndexTest, ResolvedMarks) {
   LinkIndex li(3);
   EXPECT_FALSE(li.IsResolved(1));
-  li.MarkResolved(1);
-  li.MarkResolved(1);  // Idempotent.
+  li.MarkResolvedBatch({1});
+  li.MarkResolvedBatch({1, 1});  // Idempotent.
   EXPECT_TRUE(li.IsResolved(1));
   EXPECT_EQ(li.num_resolved(), 1u);
 }
 
 TEST(LinkIndexTest, ResetClearsEverything) {
   LinkIndex li(4);
-  li.AddLink(0, 1);
-  li.MarkResolved(0);
+  li.PublishLinks({{0, 1}});
+  li.MarkResolvedBatch({0});
   li.Reset();
   EXPECT_FALSE(li.AreLinked(0, 1));
   EXPECT_FALSE(li.IsResolved(0));
@@ -299,7 +309,7 @@ TEST(ComparisonExecutionTest, FindsMotivatingDuplicates) {
 TEST(ComparisonExecutionTest, SkipsAlreadyLinkedPairs) {
   datagen::GeneratedDataset p = datagen::MakeMotivatingPublications();
   LinkIndex li(p.table->num_rows());
-  li.AddLink(5, 6);
+  li.PublishLinks({{5, 6}});
   std::vector<Comparison> comparisons = {{5, 6}};
   ComparisonExecStats stats =
       *ExecuteComparisons(*p.table, comparisons, TestConfig(), &li);

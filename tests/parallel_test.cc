@@ -156,25 +156,12 @@ TEST(ParallelForTest, InlineExceptionAlsoBecomesStatus) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
-TEST(LinkIndexTest, SharedReadMatchesHalvingRead) {
-  LinkIndex li(16);
-  li.AddLink(0, 1);
-  li.AddLink(1, 2);
-  li.AddLink(5, 9);
-  for (EntityId a = 0; a < 16; ++a) {
-    for (EntityId b = 0; b < 16; ++b) {
-      EXPECT_EQ(li.AreLinkedShared(a, b), li.AreLinked(a, b));
-    }
-  }
-}
-
-TEST(LinkIndexTest, AddLinkReportsMerges) {
+TEST(LinkIndexTest, PublishLinksReportsMerges) {
   LinkIndex li(4);
-  EXPECT_TRUE(li.AddLink(0, 1));
-  EXPECT_TRUE(li.AddLink(2, 3));
-  EXPECT_TRUE(li.AddLink(0, 2));
-  // Transitively linked already: no merge, no count.
-  EXPECT_FALSE(li.AddLink(1, 3));
+  // (1, 3) is linked transitively by the three links before it: no merge,
+  // no count.
+  EXPECT_EQ(li.PublishLinks({{0, 1}, {2, 3}, {0, 2}, {1, 3}}), 3u);
+  EXPECT_EQ(li.PublishLinks({{3, 0}}), 0u);
   EXPECT_EQ(li.num_links(), 3u);
 }
 
@@ -207,9 +194,32 @@ TEST(ParallelDeterminismTest, FourThreadsMatchSequential) {
   EXPECT_FALSE(rows1.empty());
 }
 
-// Comparison execution alone, parallel vs sequential, on top of links some
-// earlier "query" already resolved — the merge path must treat them as
-// skippable and end at the identical clustering.
+// The paper's Comparison-Execution loop, linking each match as it finds it:
+// the reference ExecuteComparisons must reproduce with one chunk.
+ComparisonExecStats ReferenceLoop(const Table& table,
+                                  const std::vector<Comparison>& comparisons,
+                                  const MatchingConfig& config,
+                                  const AttributeWeights* weights,
+                                  LinkIndex* li) {
+  ComparisonExecStats stats;
+  for (const auto& [a, b] : comparisons) {
+    if (li->AreLinked(a, b)) {
+      ++stats.skipped_linked;
+      continue;
+    }
+    ++stats.executed;
+    if (ProfileSimilarity(table, a, b, config, weights) >= config.threshold) {
+      stats.matches_found += li->PublishLinks({{a, b}});
+    }
+  }
+  return stats;
+}
+
+// Comparison execution alone, inline and on 4 workers, against the
+// reference loop, on top of a link some earlier "query" already resolved:
+// inline makes exactly the reference's skip decisions; the chunked run may
+// evaluate pairs another chunk linked, but never more than the pairs
+// unlinked before the run, and ends at the identical clustering.
 TEST(ParallelDeterminismTest, ComparisonExecutionMatchesSequential) {
   auto dsd = datagen::MakeDsdLike(800, 77);
   BlockingOptions blocking;
@@ -228,22 +238,47 @@ TEST(ParallelDeterminismTest, ComparisonExecutionMatchesSequential) {
   }
   ASSERT_GE(comparisons.size(), kParallelComparisonThreshold);
   AttributeWeights weights = AttributeWeights::Compute(*dsd.table);
+  const std::size_t n = dsd.table->num_rows();
+  const std::vector<LinkIndex::Link> earlier = {{0, 1}};
 
-  LinkIndex sequential(dsd.table->num_rows());
-  sequential.AddLink(0, 1);  // Pre-existing link from an "earlier query".
-  ComparisonExecStats seq_stats = *ExecuteComparisons(
-      *dsd.table, comparisons, matching, &sequential, &weights);
+  LinkIndex reference(n);
+  reference.PublishLinks(earlier);
+  std::size_t unlinked_before = 0;
+  for (const auto& [a, b] : comparisons) {
+    if (!reference.AreLinked(a, b)) ++unlinked_before;
+  }
+  ComparisonExecStats ref_stats =
+      ReferenceLoop(*dsd.table, comparisons, matching, &weights, &reference);
+  // The data links pairs transitively within the run, so skipping them is
+  // observable.
+  ASSERT_LT(ref_stats.executed, unlinked_before);
+  ASSERT_GT(ref_stats.matches_found, 0u);
+
+  LinkIndex inline_li(n);
+  inline_li.PublishLinks(earlier);
+  ComparisonExecStats inline_stats = *ExecuteComparisons(
+      *dsd.table, comparisons, matching, &inline_li, &weights);
+  EXPECT_EQ(inline_stats.executed, ref_stats.executed);
+  EXPECT_EQ(inline_stats.skipped_linked, ref_stats.skipped_linked);
+  EXPECT_EQ(inline_stats.matches_found, ref_stats.matches_found);
 
   ThreadPool pool(4);
-  LinkIndex parallel(dsd.table->num_rows());
-  parallel.AddLink(0, 1);
-  ComparisonExecStats par_stats = *ExecuteComparisons(
-      *dsd.table, comparisons, matching, &parallel, &weights, &pool);
+  LinkIndex pooled(n);
+  pooled.PublishLinks(earlier);
+  ComparisonExecStats pooled_stats = *ExecuteComparisons(
+      *dsd.table, comparisons, matching, &pooled, &weights, &pool);
+  EXPECT_EQ(pooled_stats.matches_found, ref_stats.matches_found);
+  EXPECT_LE(pooled_stats.executed, unlinked_before);
+  EXPECT_GE(pooled_stats.executed, ref_stats.executed);
+  EXPECT_EQ(pooled_stats.executed + pooled_stats.skipped_linked,
+            comparisons.size());
 
-  EXPECT_EQ(parallel.num_links(), sequential.num_links());
-  EXPECT_EQ(par_stats.matches_found, seq_stats.matches_found);
-  for (EntityId e = 0; e < dsd.table->num_rows(); ++e) {
-    EXPECT_EQ(parallel.Cluster(e), sequential.Cluster(e));
+  for (const LinkIndex* li : {&inline_li, &pooled}) {
+    EXPECT_EQ(li->num_links(), reference.num_links());
+    for (EntityId e = 0; e < n; ++e) {
+      EXPECT_EQ(li->Cluster(e), reference.Cluster(e));
+      EXPECT_EQ(li->Representative(e), reference.Representative(e));
+    }
   }
 }
 
