@@ -24,11 +24,9 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
   }
   double block_seconds = watch.ElapsedSeconds();
 
-  watch.Restart();
   MetaBlockingResult refined =
       RunMetaBlocking(std::move(blocks), runtime->meta_blocking_config(),
                       runtime->thread_pool());
-  double meta_seconds = watch.ElapsedSeconds();
 
   watch.Restart();
   QUERYER_ASSIGN_OR_RETURN(
@@ -39,7 +37,7 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
                          runtime->thread_pool()));
   double resolution_seconds = watch.ElapsedSeconds();
 
-  runtime->link_index().MarkAllResolved();
+  QUERYER_RETURN_NOT_OK(runtime->link_index().MarkAllResolved());
 
   result.comparisons_executed = exec.executed;
   result.matches_found = exec.matches_found;
@@ -50,8 +48,10 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
     stats->comparisons_skipped_linked += exec.skipped_linked;
     stats->matches_found += exec.matches_found;
     stats->blocking_seconds += block_seconds;
-    // Batch ER has no Block-Join; the meta-blocking bucket covers BP/BF/EP.
-    stats->edge_pruning_seconds += meta_seconds;
+    // Batch ER has no Block-Join.
+    stats->purging_seconds += refined.purging_seconds;
+    stats->filtering_seconds += refined.filtering_seconds;
+    stats->edge_pruning_seconds += refined.edge_pruning_seconds;
     stats->resolution_seconds += resolution_seconds;
     stats->comparisons_after_metablocking += refined.comparisons.size();
     if (stats->collect_comparisons) {

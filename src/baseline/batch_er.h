@@ -26,9 +26,10 @@ struct BatchErStats {
 /// and marking all entities resolved. Stage timings and counters are also
 /// accumulated into `stats` when provided. Idempotent: a second call finds
 /// every pair already linked or already compared and re-executes the
-/// comparisons that found no match. Fails only when comparison execution
-/// does (in practice: injected failures) — and then marks nothing
-/// resolved, so the next call retries the whole pass.
+/// comparisons that found no match. Fails when comparison execution or a
+/// Link Index write does (injected failures, a durable index's WAL append
+/// error) — and then marks nothing resolved, so the next call retries the
+/// whole pass.
 Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
                                       ExecStats* stats = nullptr);
 

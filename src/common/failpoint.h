@@ -79,8 +79,7 @@ class Failpoint {
   Status Fire();
 
   /// Like Fire, but `error` mode also throws FailpointError — for sites
-  /// inside code that reports failure by exception (morsel bodies,
-  /// coordinator transactions).
+  /// inside code that reports failure by exception (morsel bodies).
   void FireOrThrow();
 
   /// Like Fire, but only `delay` triggers; `error`/`throw` specs are

@@ -297,7 +297,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
       // arm; concurrent sessions would race each other's resets, so run
       // this arm with max_concurrent_queries == 1.)
       for (const auto& runtime : prepared.involved_) {
-        runtime->ResetLinkIndex();
+        QUERYER_RETURN_NOT_OK(runtime->link_index().Reset());
       }
     }
   }

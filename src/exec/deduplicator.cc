@@ -8,7 +8,6 @@
 
 namespace queryer {
 
-
 std::vector<Comparison> Deduplicator::BuildComparisons(
     const std::vector<EntityId>& unresolved) {
   // (i) Query Blocking: build the QBI with the table's blocking function.
@@ -35,39 +34,19 @@ std::vector<Comparison> Deduplicator::BuildComparisons(
   // (iii) Meta-Blocking: BP -> BF -> EP per the table's configuration. The
   // pool parallelizes the size statistics and the edge weighting; answers
   // are identical at every thread count.
-  const MetaBlockingConfig& config = runtime_->meta_blocking_config();
-  BlockCollection refined = std::move(enriched);
-  if (config.block_purging) {
-    watch.Restart();
-    TraceSpan span(trace_, "purging", "er");
-    refined = BlockPurging(std::move(refined), config.purging_outlier_factor,
-                           pool_);
-    stats_->purging_seconds += watch.ElapsedSeconds();
-  }
-  if (config.block_filtering) {
-    watch.Restart();
-    TraceSpan span(trace_, "filtering", "er");
-    refined = BlockFiltering(refined, config.filtering_ratio, pool_);
-    stats_->filtering_seconds += watch.ElapsedSeconds();
-  }
-  std::vector<Comparison> comparisons;
-  {
-    TraceSpan span(trace_, "edge-pruning", "er");
-    watch.Restart();
-    if (config.edge_pruning) {
-      comparisons = EdgePruning(refined, config.edge_weighting, pool_);
-    } else {
-      comparisons = DistinctComparisons(refined);
-    }
-    stats_->edge_pruning_seconds += watch.ElapsedSeconds();
-  }
-  stats_->comparisons_after_metablocking += comparisons.size();
+  MetaBlockingResult refined =
+      RunMetaBlocking(std::move(enriched), runtime_->meta_blocking_config(),
+                      pool_, trace_);
+  stats_->purging_seconds += refined.purging_seconds;
+  stats_->filtering_seconds += refined.filtering_seconds;
+  stats_->edge_pruning_seconds += refined.edge_pruning_seconds;
+  stats_->comparisons_after_metablocking += refined.comparisons.size();
   if (stats_->collect_comparisons) {
     stats_->collected_comparisons.insert(stats_->collected_comparisons.end(),
-                                         comparisons.begin(),
-                                         comparisons.end());
+                                         refined.comparisons.begin(),
+                                         refined.comparisons.end());
   }
-  return comparisons;
+  return std::move(refined.comparisons);
 }
 
 Result<std::vector<EntityId>> Deduplicator::Resolve(
@@ -107,94 +86,59 @@ Result<std::vector<EntityId>> Deduplicator::Resolve(
   return result;
 }
 
-Status Deduplicator::EvaluateAndPublishOwned(
-    const std::vector<Comparison>& owned) {
-  ResolutionCoordinator& coordinator = runtime_->coordinator();
-  // Failures arrive two ways: error Statuses from the evaluation (cancel
-  // poll, injected chunk errors) and exceptions (injected publish throws,
-  // WAL append failures, bad_alloc). Both take the abandon path below.
-  Status status;
-  try {
-    Stopwatch watch;
-    TraceSpan span(trace_, "resolution", "er");
-    Result<ComparisonExecStats> executed = ExecuteComparisons(
-        runtime_->table(), owned, runtime_->matching_config(),
-        &runtime_->link_index(), &runtime_->attribute_weights(), pool_,
-        cancel_);
-    if (executed.ok()) {
-      const ComparisonExecStats& counts = *executed;
-      stats_->comparisons_executed += counts.executed;
-      stats_->comparisons_skipped_linked += counts.skipped_linked;
-      stats_->matches_found += counts.matches_found;
-      stats_->resolution_seconds += watch.ElapsedSeconds();
-      const EngineMetrics& metrics = GlobalEngineMetrics();
-      metrics.comparisons_executed->Increment(counts.executed);
-      metrics.comparisons_skipped_linked->Increment(counts.skipped_linked);
-      metrics.matches_found->Increment(counts.matches_found);
-      span.set_args("\"comparisons\":" + std::to_string(counts.executed) +
-                    ",\"matches\":" + std::to_string(counts.matches_found));
-      coordinator.ReleaseComparisons(owned);
-      return Status::OK();
-    }
-    status = executed.status();
-  } catch (const std::exception& e) {
-    status = Status::Internal(e.what());
-  } catch (...) {
-    status = Status::Internal("non-std exception during comparison publish");
-  }
-  // Could not publish: park the pairs for a waiter to adopt — a normal
-  // release would let that waiter mark its entities resolved on the
-  // strength of comparisons nobody ran.
-  coordinator.AbandonComparisons(owned);
-  return status;
+Status Deduplicator::EvaluateAndPublish(
+    ResolutionCoordinator::ComparisonClaim* pairs) {
+  Stopwatch watch;
+  TraceSpan span(trace_, "resolution", "er");
+  QUERYER_ASSIGN_OR_RETURN(
+      ComparisonExecStats counts,
+      ExecuteComparisons(runtime_->table(), pairs->owned(),
+                         runtime_->matching_config(), &runtime_->link_index(),
+                         &runtime_->attribute_weights(), pool_, cancel_));
+  stats_->comparisons_executed += counts.executed;
+  stats_->comparisons_skipped_linked += counts.skipped_linked;
+  stats_->matches_found += counts.matches_found;
+  stats_->resolution_seconds += watch.ElapsedSeconds();
+  const EngineMetrics& metrics = GlobalEngineMetrics();
+  metrics.comparisons_executed->Increment(counts.executed);
+  metrics.comparisons_skipped_linked->Increment(counts.skipped_linked);
+  metrics.matches_found->Increment(counts.matches_found);
+  span.set_args("\"comparisons\":" + std::to_string(counts.executed) +
+                ",\"matches\":" + std::to_string(counts.matches_found));
+  pairs->Release();
+  return Status::OK();
 }
 
-Status Deduplicator::ResolveClaimed(const std::vector<EntityId>& claimed) {
-  LinkIndex& li = runtime_->link_index();
+Status Deduplicator::ResolveClaimed(ResolutionCoordinator::EntityClaim* claim) {
   ResolutionCoordinator& coordinator = runtime_->coordinator();
-  Status status;
-  try {
-    status = [&]() -> Status {
-      std::vector<Comparison> comparisons = BuildComparisons(claimed);
+  // (iv) staged: claim the pairs, evaluate them read-only, publish the
+  // matches in one exclusive section, then release the pair claims.
+  QUERYER_ASSIGN_OR_RETURN(
+      ResolutionCoordinator::ComparisonClaim pairs,
+      coordinator.ClaimComparisons(BuildComparisons(claim->claimed())));
+  stats_->comparisons_skipped_inflight += pairs.foreign.size();
+  QUERYER_RETURN_NOT_OK(EvaluateAndPublish(&pairs));
 
-      // (iv) staged: claim the pairs, evaluate them read-only, publish the
-      // matches in one exclusive section, then release the pair claims.
-      ResolutionCoordinator::ComparisonClaim pairs =
-          coordinator.ClaimComparisons(comparisons);
-      stats_->comparisons_skipped_inflight += pairs.foreign.size();
-      QUERYER_RETURN_NOT_OK(EvaluateAndPublishOwned(pairs.owned));
-
-      // An entity's link-set is complete only once every in-flight
-      // comparison that could still link it has been published. Ours just
-      // were; the foreign ones are awaited. Pairs whose owner failed before
-      // publishing come back adopted and are evaluated right here, so a
-      // resolved mark never rests on a comparison that silently vanished.
-      std::vector<Comparison> orphans =
-          coordinator.AwaitComparisons(pairs.foreign);
-      if (!orphans.empty()) {
-        stats_->comparisons_skipped_inflight -= orphans.size();
-        QUERYER_RETURN_NOT_OK(EvaluateAndPublishOwned(orphans));
-      }
-      // Monotonic counter: count only the pairs that stayed skipped (adopted
-      // orphans were executed after all).
-      GlobalEngineMetrics().comparisons_skipped_inflight->Increment(
-          pairs.foreign.size() - orphans.size());
-      li.MarkResolvedBatch(claimed);
-      coordinator.ReleaseEntities(claimed);
-      return Status::OK();
-    }();
-  } catch (const std::exception& e) {
-    status = Status::Internal(e.what());
-  } catch (...) {
-    status = Status::Internal("non-std exception during claimed resolution");
+  // An entity's link-set is complete only once every in-flight comparison
+  // that could still link it has been published. Ours just were; the
+  // foreign ones are awaited. Pairs whose owner failed before publishing
+  // come back adopted and are evaluated right here, so a resolved mark
+  // never rests on a comparison that silently vanished.
+  ResolutionCoordinator::ComparisonClaim orphans =
+      coordinator.AwaitComparisons(pairs.foreign);
+  const std::size_t adopted = orphans.owned().size();
+  if (adopted > 0) {
+    stats_->comparisons_skipped_inflight -= adopted;
+    QUERYER_RETURN_NOT_OK(EvaluateAndPublish(&orphans));
   }
-  if (!status.ok()) {
-    // Failure path: free the entity claims WITHOUT resolved marks. The
-    // entities stay unresolved, so the next session that waits on them
-    // re-claims and resolves them itself.
-    coordinator.ReleaseEntities(claimed);
-  }
-  return status;
+  // Monotonic counter: count only the pairs that stayed skipped (adopted
+  // orphans were executed after all).
+  GlobalEngineMetrics().comparisons_skipped_inflight->Increment(
+      pairs.foreign.size() - adopted);
+  QUERYER_RETURN_NOT_OK(runtime_->link_index().MarkResolvedBatch(
+      claim->claimed()));
+  claim->Release();
+  return Status::OK();
 }
 
 Status Deduplicator::ResolveEntities(
@@ -204,7 +148,9 @@ Status Deduplicator::ResolveEntities(
   stats_->query_entities += query_entities.size();
 
   // One atomic step: count resolved entities, claim the unresolved ones
-  // nobody else is resolving, note the rest as foreign.
+  // nobody else is resolving, note the rest as foreign. Every early return
+  // below drops `claim`, which frees the entities it still holds without
+  // resolved marks, so a waiter re-claims and resolves them itself.
   ResolutionCoordinator::EntityClaim claim =
       coordinator.ClaimEntities(query_entities, li);
   stats_->entities_already_resolved += claim.already_resolved;
@@ -222,21 +168,12 @@ Status Deduplicator::ResolveEntities(
   // this session adopts it on the next iteration. Each iteration either
   // finishes every pending entity or adopts from a failed session, so the
   // loop terminates with all query entities resolved (or fails).
-  while (!claim.claimed.empty() || !claim.foreign.empty()) {
+  while (!claim.claimed().empty() || !claim.foreign.empty()) {
     // Poll between iterations too: an adopt-and-retry loop must not outlive
-    // its session's cancellation. The poll fires while this session may
-    // hold entity claims (the initial ClaimEntities or the post-Await
-    // re-claim below), and a stranded claim blocks every later
-    // AwaitEntities on those entities forever — release before returning.
-    if (cancel_ != nullptr) {
-      Status poll = cancel_->Check();
-      if (!poll.ok()) {
-        coordinator.ReleaseEntities(claim.claimed);
-        return poll;
-      }
-    }
-    if (!claim.claimed.empty()) {
-      QUERYER_RETURN_NOT_OK(ResolveClaimed(claim.claimed));
+    // its session's cancellation.
+    if (cancel_ != nullptr) QUERYER_RETURN_NOT_OK(cancel_->Check());
+    if (!claim.claimed().empty()) {
+      QUERYER_RETURN_NOT_OK(ResolveClaimed(&claim));
     }
     if (claim.foreign.empty()) break;
     coordinator.AwaitEntities(claim.foreign);

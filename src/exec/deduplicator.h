@@ -63,10 +63,11 @@ class Deduplicator {
   /// publish between the two reads shears the answer.
   ///
   /// Failure (Cancelled / DeadlineExceeded from the cancel context, or an
-  /// injected/internal error) leaves the runtime consistent: every entity
-  /// and comparison claim this call took is released or abandoned before
-  /// the error returns, the entities stay unmarked-resolved, and no link
-  /// of the failed transaction is published.
+  /// injected/internal error) leaves the runtime consistent: the claims
+  /// this call took are scope-bound owners, so any return or unwinding
+  /// exception releases its entities and abandons its pairs. The entities
+  /// stay unmarked-resolved and no link of the failed transaction is
+  /// published.
   Result<std::vector<EntityId>> Resolve(
       const std::vector<EntityId>& query_entities,
       std::vector<EntityId>* group_keys = nullptr);
@@ -76,13 +77,11 @@ class Deduplicator {
   /// session or by the concurrent sessions that claimed it first.
   Status ResolveEntities(const std::vector<EntityId>& query_entities);
   /// Runs the pipeline over this session's claimed entities and publishes
-  /// the outcome (the body of one resolution transaction). On failure —
-  /// error Status or exception — the entity claims are released WITHOUT
-  /// resolved marks, so a waiter adopts and re-resolves them.
-  Status ResolveClaimed(const std::vector<EntityId>& claimed);
-  /// Comparison-Execution + release of the pairs this session owns;
-  /// abandons them (for waiter adoption) on failure.
-  Status EvaluateAndPublishOwned(const std::vector<Comparison>& owned);
+  /// the outcome (the body of one resolution transaction); on success the
+  /// entities are marked resolved and `claim` released.
+  Status ResolveClaimed(ResolutionCoordinator::EntityClaim* claim);
+  /// Comparison-Execution of the pairs `pairs` owns, then their release.
+  Status EvaluateAndPublish(ResolutionCoordinator::ComparisonClaim* pairs);
 
   /// Query Blocking -> Block-Join -> Meta-Blocking over `unresolved`,
   /// recording the per-stage timings. Read-only on the runtime.

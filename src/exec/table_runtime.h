@@ -110,10 +110,6 @@ class TableRuntime {
   /// concurrent sessions: the first cleans, the rest wait and reuse.
   std::mutex& batch_er_mutex() { return batch_er_mutex_; }
 
-  /// Forgets all resolved links (used by the without-LI experiment arm and
-  /// to reset state between benchmark runs).
-  void ResetLinkIndex() { link_index_.Reset(); }
-
  private:
   TablePtr table_;
   BlockingOptions blocking_;

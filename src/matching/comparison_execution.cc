@@ -134,7 +134,8 @@ Result<ComparisonExecStats> ExecuteComparisons(
     matched.insert(matched.end(), result.matched.begin(),
                    result.matched.end());
   }
-  stats.matches_found = link_index->PublishLinks(matched);
+  QUERYER_ASSIGN_OR_RETURN(stats.matches_found,
+                           link_index->PublishLinks(matched));
   return stats;
 }
 

@@ -57,8 +57,8 @@ inline constexpr std::size_t kParallelComparisonThreshold = 256;
 /// `cancel` (optional) is polled every CancelContext::kPollInterval
 /// evaluated comparisons per chunk. A cancelled or failed run (the first
 /// failing chunk's Status wins, as in ParallelFor) returns that Status and
-/// publishes nothing; so does a run whose publish throws (an injected
-/// `li.publish` fault or a WAL append failure), which leaves the index
+/// publishes nothing; so does a run whose publish fails (an injected
+/// `li.publish` fault or a WAL append error), which leaves the index
 /// untouched.
 Result<ComparisonExecStats> ExecuteComparisons(
     const Table& table, const std::vector<Comparison>& comparisons,

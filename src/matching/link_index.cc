@@ -50,28 +50,16 @@ bool LinkIndex::AddLinkLocked(EntityId a, EntityId b) {
   return true;
 }
 
-void LinkIndex::WalAppendLinks(const std::vector<Link>& links) {
-  if (wal_ == nullptr) return;
-  const Status status = wal_->AppendLinks(links);
-  if (!status.ok()) throw LinkIndexWalError(status.ToString());
-}
-
-void LinkIndex::WalAppendMarks(const std::vector<EntityId>& entities) {
-  if (wal_ == nullptr) return;
-  const Status status = wal_->AppendMarks(entities);
-  if (!status.ok()) throw LinkIndexWalError(status.ToString());
-}
-
-std::size_t LinkIndex::PublishLinks(const std::vector<Link>& links) {
+Result<std::size_t> LinkIndex::PublishLinks(const std::vector<Link>& links) {
   // Before the exclusive section: an injected publish failure must leave
   // the index untouched (all-or-nothing), so the owner's abandonment hands
   // waiters pairs whose links genuinely were not applied.
-  QUERYER_FAILPOINT_THROW("li.publish");
-  if (links.empty()) return 0;
+  QUERYER_FAILPOINT("li.publish");
+  if (links.empty()) return std::size_t{0};
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Log before apply: a WAL failure throws out of here with the in-memory
+  // Log before apply: a WAL failure returns from here with the in-memory
   // index untouched, and the log never lags memory-visible links.
-  WalAppendLinks(links);
+  if (wal_ != nullptr) QUERYER_RETURN_NOT_OK(wal_->AppendLinks(links));
   std::size_t merged = 0;
   for (const auto& [a, b] : links) {
     if (AddLinkLocked(a, b)) ++merged;
@@ -80,22 +68,21 @@ std::size_t LinkIndex::PublishLinks(const std::vector<Link>& links) {
   return merged;
 }
 
-void LinkIndex::MarkResolvedBatch(const std::vector<EntityId>& entities) {
-  if (entities.empty()) return;
+Status LinkIndex::MarkResolvedBatch(const std::vector<EntityId>& entities) {
+  if (entities.empty()) return Status::OK();
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  WalAppendMarks(entities);
+  if (wal_ != nullptr) QUERYER_RETURN_NOT_OK(wal_->AppendMarks(entities));
   for (EntityId e : entities) MarkResolvedLocked(e);
   epoch_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
-void LinkIndex::MarkAllResolved() {
+Status LinkIndex::MarkAllResolved() {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (wal_ != nullptr) {
-    const Status status = wal_->AppendMarkAll();
-    if (!status.ok()) throw LinkIndexWalError(status.ToString());
-  }
+  if (wal_ != nullptr) QUERYER_RETURN_NOT_OK(wal_->AppendMarkAll());
   for (EntityId e = 0; e < resolved_.size(); ++e) MarkResolvedLocked(e);
   epoch_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
 bool LinkIndex::AreLinked(EntityId a, EntityId b) const {
@@ -177,12 +164,9 @@ void LinkIndex::RestoreMarkAll() {
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
-void LinkIndex::Reset() {
+Status LinkIndex::Reset() {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (wal_ != nullptr) {
-    const Status status = wal_->AppendReset();
-    if (!status.ok()) throw LinkIndexWalError(status.ToString());
-  }
+  if (wal_ != nullptr) QUERYER_RETURN_NOT_OK(wal_->AppendReset());
   std::iota(parent_.begin(), parent_.end(), 0);
   std::fill(cluster_size_.begin(), cluster_size_.end(), 1);
   std::iota(next_in_cluster_.begin(), next_in_cluster_.end(), 0);
@@ -190,6 +174,7 @@ void LinkIndex::Reset() {
   num_resolved_count_ = 0;
   num_links_ = 0;
   epoch_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
 }
 
 std::size_t LinkIndex::MemoryFootprint() const {

@@ -36,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <shared_mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -51,7 +50,7 @@ namespace queryer {
 /// always a superset of memory-visible state: a crash can lose an applied
 /// batch from memory never, a logged-but-unapplied batch at most (replay
 /// re-applies it; merges are idempotent). A non-OK return aborts the
-/// mutation (thrown as LinkIndexWalError), leaving the index untouched.
+/// mutation, which returns that Status with the index untouched.
 class LinkIndexWal {
  public:
   virtual ~LinkIndexWal() = default;
@@ -60,16 +59,6 @@ class LinkIndexWal {
   virtual Status AppendMarks(const std::vector<EntityId>& entities) = 0;
   virtual Status AppendMarkAll() = 0;
   virtual Status AppendReset() = 0;
-};
-
-/// \brief Thrown by a Link Index mutator whose WAL append failed. The
-/// in-memory index is unchanged; the deduplicator's publish failure path
-/// (claim abandonment, orphan adoption) handles it like any other publish
-/// fault.
-class LinkIndexWalError : public std::runtime_error {
- public:
-  explicit LinkIndexWalError(const std::string& what)
-      : std::runtime_error(what) {}
 };
 
 /// \brief Union-find over the entities of one table, plus "resolved" marks.
@@ -110,14 +99,18 @@ class LinkIndex {
   /// staged link buffer. Returns the number of clusters actually merged
   /// (links whose endpoints were already connected — by this batch or a
   /// concurrent query — are no-op merges).
-  std::size_t PublishLinks(const std::vector<Link>& links);
+  ///
+  /// Every mutator is all-or-nothing: a failure (the `li.publish`
+  /// failpoint, or a WAL append error) returns before anything is applied,
+  /// so the index is exactly as it was.
+  Result<std::size_t> PublishLinks(const std::vector<Link>& links);
 
   /// Marks a batch of entities resolved under one exclusive section.
-  void MarkResolvedBatch(const std::vector<EntityId>& entities);
+  Status MarkResolvedBatch(const std::vector<EntityId>& entities);
 
   /// Marks every entity resolved (whole-table batch cleaning) under one
   /// exclusive section.
-  void MarkAllResolved();
+  Status MarkAllResolved();
 
   /// Publication counter: incremented by every exclusive mutation (Reset,
   /// and once per published batch).
@@ -126,7 +119,7 @@ class LinkIndex {
   }
 
   /// Drops all links and marks (fresh index for BA/no-LI experiment arms).
-  void Reset();
+  Status Reset();
 
   /// Attaches (or detaches, with nullptr) the write-ahead sink. Takes the
   /// exclusive lock; attach before serving traffic, detach before the WAL
@@ -185,12 +178,6 @@ class LinkIndex {
   bool AddLinkLocked(EntityId a, EntityId b);
   void MarkResolvedLocked(EntityId e);
   std::vector<EntityId> ClusterLocked(EntityId e) const;
-
-  // Appends the mutation to the attached WAL (if any); throws
-  // LinkIndexWalError on failure. Call under the exclusive lock, before
-  // applying the mutation.
-  void WalAppendLinks(const std::vector<Link>& links);
-  void WalAppendMarks(const std::vector<EntityId>& entities);
 
   mutable std::shared_mutex mutex_;
   LinkIndexWal* wal_ = nullptr;  // Guarded by mutex_ (exclusive).

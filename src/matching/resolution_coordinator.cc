@@ -1,6 +1,7 @@
 #include "matching/resolution_coordinator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/failpoint.h"
 
@@ -12,9 +13,48 @@ std::uint64_t ResolutionCoordinator::KeyOf(const Link& link) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
+ResolutionCoordinator::EntityClaim&
+ResolutionCoordinator::EntityClaim::operator=(EntityClaim&& other) noexcept {
+  Release();
+  std::swap(coordinator_, other.coordinator_);
+  claimed_.swap(other.claimed_);
+  foreign.swap(other.foreign);
+  already_resolved = other.already_resolved;
+  return *this;
+}
+
+void ResolutionCoordinator::EntityClaim::Release() {
+  if (coordinator_ != nullptr) coordinator_->ReleaseEntities(claimed_);
+  claimed_.clear();
+}
+
+ResolutionCoordinator::ComparisonClaim&
+ResolutionCoordinator::ComparisonClaim::operator=(
+    ComparisonClaim&& other) noexcept {
+  if (coordinator_ != nullptr) coordinator_->AbandonComparisons(owned_);
+  owned_.clear();
+  std::swap(coordinator_, other.coordinator_);
+  owned_.swap(other.owned_);
+  foreign.swap(other.foreign);
+  return *this;
+}
+
+ResolutionCoordinator::ComparisonClaim::~ComparisonClaim() {
+  if (coordinator_ != nullptr) coordinator_->AbandonComparisons(owned_);
+}
+
+void ResolutionCoordinator::ComparisonClaim::Release() {
+  if (coordinator_ != nullptr) coordinator_->ReleaseComparisons(owned_);
+  owned_.clear();
+}
+
 ResolutionCoordinator::EntityClaim ResolutionCoordinator::ClaimEntities(
     const std::vector<EntityId>& query_entities, const LinkIndex& index) {
+  // Reserved up front, so an entity registered in flight is always in
+  // claim.claimed_ too and even an unwinding claim frees it.
   EntityClaim claim;
+  claim.coordinator_ = this;
+  claim.claimed_.reserve(query_entities.size());
   // The resolved reads and the claim must be one atomic step: between a
   // separate "is resolved?" check and a later claim, a concurrent session
   // could finish (mark resolved + release), and the stale check would make
@@ -27,7 +67,7 @@ ResolutionCoordinator::EntityClaim ResolutionCoordinator::ClaimEntities(
     if (view.IsResolved(e)) {
       ++claim.already_resolved;
     } else if (entities_in_flight_.insert(e).second) {
-      claim.claimed.push_back(e);
+      claim.claimed_.push_back(e);
     } else {
       claim.foreign.push_back(e);
     }
@@ -57,21 +97,22 @@ void ResolutionCoordinator::AwaitEntities(
   });
 }
 
-ResolutionCoordinator::ComparisonClaim
+Result<ResolutionCoordinator::ComparisonClaim>
 ResolutionCoordinator::ClaimComparisons(const std::vector<Link>& comparisons) {
   // Before any claim-table mutation: an injected failure here must leave
   // nothing to clean up (the session fails with zero pairs claimed).
-  QUERYER_FAILPOINT_THROW("coordinator.claim_comparisons");
+  QUERYER_FAILPOINT("coordinator.claim_comparisons");
   ComparisonClaim claim;
-  claim.owned.reserve(comparisons.size());
+  claim.coordinator_ = this;
+  claim.owned_.reserve(comparisons.size());
   std::lock_guard<std::mutex> lock(mutex_);
   for (const Link& pair : comparisons) {
-    std::uint64_t key = KeyOf(pair);
-    if (comparisons_in_flight_.insert(key).second) {
-      // A fresh claim also adopts a pair a failed session abandoned: the
-      // new owner evaluates it, so it must leave the adoption pool.
-      comparisons_abandoned_.erase(key);
-      claim.owned.push_back(pair);
+    auto [it, fresh] = comparisons_.try_emplace(KeyOf(pair), false);
+    // A claim also adopts a pair a failed session abandoned: the new owner
+    // evaluates it, so it must leave the adoption pool.
+    if (fresh || it->second) {
+      it->second = false;
+      claim.owned_.push_back(pair);
     } else {
       claim.foreign.push_back(pair);
     }
@@ -86,7 +127,7 @@ void ResolutionCoordinator::ReleaseComparisons(const std::vector<Link>& owned) {
   if (owned.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Link& pair : owned) comparisons_in_flight_.erase(KeyOf(pair));
+    for (const Link& pair : owned) comparisons_.erase(KeyOf(pair));
   }
   released_.notify_all();
 }
@@ -96,41 +137,37 @@ void ResolutionCoordinator::AbandonComparisons(const std::vector<Link>& owned) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Link& pair : owned) {
-      std::uint64_t key = KeyOf(pair);
-      comparisons_in_flight_.erase(key);
-      comparisons_abandoned_.insert(key);
+      auto it = comparisons_.find(KeyOf(pair));
+      if (it != comparisons_.end()) it->second = true;
     }
   }
   released_.notify_all();
 }
 
-std::vector<ResolutionCoordinator::Link> ResolutionCoordinator::AwaitComparisons(
+ResolutionCoordinator::ComparisonClaim ResolutionCoordinator::AwaitComparisons(
     const std::vector<Link>& foreign) {
-  std::vector<Link> adopted;
+  ComparisonClaim adopted;
+  adopted.coordinator_ = this;
   if (foreign.empty()) return adopted;
-  std::unordered_set<std::uint64_t> adopted_keys;
+  adopted.owned_.reserve(foreign.size());
+  std::vector<Link> pending = foreign;
   std::unique_lock<std::mutex> lock(mutex_);
   // The predicate adopts abandoned pairs as a side effect: the check and
   // the re-claim must be one atomic step, or two waiters could both judge
-  // a pair adoptable and race for it outside the wait.
+  // a pair adoptable and race for it outside the wait. It allocates
+  // nothing, so an adopted pair is always in `adopted`.
   released_.wait(lock, [&] {
-    bool settled = true;
-    for (const Link& pair : foreign) {
-      std::uint64_t key = KeyOf(pair);
-      if (adopted_keys.count(key) > 0) continue;  // Already ours.
-      if (comparisons_abandoned_.count(key) > 0) {
-        // Local bookkeeping first, global claim state last: if an insert
-        // throws (bad_alloc), the pair must still be abandoned and
-        // unclaimed, not in flight under nobody.
-        adopted.push_back(pair);
-        adopted_keys.insert(key);
-        comparisons_in_flight_.insert(key);
-        comparisons_abandoned_.erase(key);
-        continue;
-      }
-      if (comparisons_in_flight_.count(key) > 0) settled = false;
-    }
-    return settled;
+    auto settled = [&](const Link& pair) {
+      auto it = comparisons_.find(KeyOf(pair));
+      if (it == comparisons_.end()) return true;  // Published.
+      if (!it->second) return false;  // Still in flight under its owner.
+      it->second = false;  // Abandoned: adopt it.
+      adopted.owned_.push_back(pair);
+      return true;
+    };
+    pending.erase(std::remove_if(pending.begin(), pending.end(), settled),
+                  pending.end());
+    return pending.empty();
   });
   return adopted;
 }
@@ -142,12 +179,14 @@ std::size_t ResolutionCoordinator::num_entities_in_flight() {
 
 std::size_t ResolutionCoordinator::num_comparisons_in_flight() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return comparisons_in_flight_.size();
+  return std::count_if(comparisons_.begin(), comparisons_.end(),
+                       [](const auto& entry) { return !entry.second; });
 }
 
 std::size_t ResolutionCoordinator::num_comparisons_abandoned() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return comparisons_abandoned_.size();
+  return std::count_if(comparisons_.begin(), comparisons_.end(),
+                       [](const auto& entry) { return entry.second; });
 }
 
 }  // namespace queryer

@@ -34,9 +34,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/status.h"
 #include "matching/link_index.h"
 
 namespace queryer {
@@ -46,15 +48,35 @@ class ResolutionCoordinator {
  public:
   using Link = LinkIndex::Link;
 
-  /// Outcome of an entity claim.
-  struct EntityClaim {
-    /// Unresolved entities this session now owns and must resolve.
-    std::vector<EntityId> claimed;
+  /// \brief Outcome of an entity claim, and the move-only owner of the
+  /// claimed entities. Dropping it releases the entities it still holds
+  /// WITHOUT resolved marks: entity state is re-checkable, so a waiter
+  /// re-claims the unresolved leftovers by looping ClaimEntities after
+  /// AwaitEntities (see Deduplicator::ResolveEntities).
+  class EntityClaim {
+   public:
+    EntityClaim() = default;
+    EntityClaim(EntityClaim&& other) noexcept { *this = std::move(other); }
+    EntityClaim& operator=(EntityClaim&& other) noexcept;
+    ~EntityClaim() { Release(); }
+
+    /// Unresolved entities this session owns and must resolve.
+    const std::vector<EntityId>& claimed() const { return claimed_; }
+    /// Frees the claimed entities and wakes waiters. The success path
+    /// calls it right after marking them resolved in the Link Index, so a
+    /// subsequent claimer sees them as resolved rather than unclaimed.
+    void Release();
+
     /// Unresolved entities another in-flight session owns; wait for them
     /// with AwaitEntities before reading their clusters.
     std::vector<EntityId> foreign;
     /// Entities whose link-set was already complete at claim time.
     std::size_t already_resolved = 0;
+
+   private:
+    friend class ResolutionCoordinator;
+    ResolutionCoordinator* coordinator_ = nullptr;
+    std::vector<EntityId> claimed_;
   };
 
   /// Atomically partitions `query_entities`: entities resolved in `index`
@@ -65,49 +87,53 @@ class ResolutionCoordinator {
   EntityClaim ClaimEntities(const std::vector<EntityId>& query_entities,
                             const LinkIndex& index);
 
-  /// Removes this session's entity claims and wakes waiters. Call after
-  /// the entities were marked resolved in the Link Index, so a subsequent
-  /// claimer sees them as resolved rather than unclaimed. On the failure
-  /// path (resolution threw), release WITHOUT marking resolved: unlike
-  /// comparisons, entity state is re-checkable, so a waiter re-claims the
-  /// still-unresolved leftovers by looping ClaimEntities after
-  /// AwaitEntities (see Deduplicator::ResolveEntities).
-  void ReleaseEntities(const std::vector<EntityId>& claimed);
-
   /// Blocks until none of `foreign` is claimed by any in-flight session.
   /// Callers must then re-claim: a released entity is not necessarily a
   /// resolved one (its owner may have failed).
   void AwaitEntities(const std::vector<EntityId>& foreign);
 
-  /// Outcome of a comparison claim.
-  struct ComparisonClaim {
-    /// Pairs this session now owns and must evaluate + publish.
-    std::vector<Link> owned;
+  /// \brief Outcome of a comparison claim, and the move-only owner of the
+  /// claimed pairs. Dropping it while it still owns pairs ABANDONS them:
+  /// their outcomes were never published, so a session awaiting them
+  /// adopts and evaluates them itself — a waiter must never declare its
+  /// entities resolved on the strength of a comparison nobody ran.
+  class ComparisonClaim {
+   public:
+    ComparisonClaim() = default;
+    ComparisonClaim(ComparisonClaim&& other) noexcept {
+      *this = std::move(other);
+    }
+    ComparisonClaim& operator=(ComparisonClaim&& other) noexcept;
+    ~ComparisonClaim();
+
+    /// Pairs this session owns and must evaluate + publish.
+    const std::vector<Link>& owned() const { return owned_; }
+    /// Frees the owned pairs and wakes waiters. Call after the pairs'
+    /// outcomes were published to the Link Index.
+    void Release();
+
     /// Pairs another in-flight session is evaluating; wait for them with
     /// AwaitComparisons before marking entities resolved.
     std::vector<Link> foreign;
+
+   private:
+    friend class ResolutionCoordinator;
+    ResolutionCoordinator* coordinator_ = nullptr;
+    std::vector<Link> owned_;
   };
 
   /// Atomically partitions `comparisons` into owned and foreign pairs.
-  ComparisonClaim ClaimComparisons(const std::vector<Link>& comparisons);
-
-  /// Removes this session's comparison claims and wakes waiters. Call
-  /// after the pairs' outcomes were published to the Link Index.
-  void ReleaseComparisons(const std::vector<Link>& owned);
-
-  /// The failure-path counterpart of ReleaseComparisons: the owner could
-  /// not publish the pairs' outcomes (its evaluation threw). The pairs are
-  /// parked in the abandoned set, where a session that was awaiting them
-  /// adopts and evaluates them itself — a waiter must never declare its
-  /// entities resolved on the strength of a comparison nobody ran.
-  void AbandonComparisons(const std::vector<Link>& owned);
+  /// Fails (injected `coordinator.claim_comparisons` fault) before touching
+  /// the claim tables.
+  Result<ComparisonClaim> ClaimComparisons(
+      const std::vector<Link>& comparisons);
 
   /// Blocks until every pair of `foreign` is either published (released by
   /// its owner) or abandoned. Abandoned pairs are atomically re-claimed by
-  /// this caller and returned: the caller owns them now and must evaluate,
-  /// publish and release (or abandon) them like its own claims. The common
-  /// case — no owner failed — returns an empty vector.
-  std::vector<Link> AwaitComparisons(const std::vector<Link>& foreign);
+  /// this caller and returned as its owned pairs: the caller evaluates,
+  /// publishes and releases them like its own claims (or abandons them by
+  /// dropping the claim). The common case — no owner failed — owns none.
+  ComparisonClaim AwaitComparisons(const std::vector<Link>& foreign);
 
   /// Inspection for tests and invariant checks: with no resolution in
   /// flight, all three must be zero — a non-zero count after every session
@@ -119,13 +145,18 @@ class ResolutionCoordinator {
  private:
   static std::uint64_t KeyOf(const Link& link);
 
+  // The owners' hand-back paths: drop the claims and wake waiters.
+  void ReleaseEntities(const std::vector<EntityId>& claimed);
+  void ReleaseComparisons(const std::vector<Link>& owned);
+  void AbandonComparisons(const std::vector<Link>& owned);
+
   std::mutex mutex_;
   std::condition_variable released_;
   std::unordered_set<EntityId> entities_in_flight_;
-  std::unordered_set<std::uint64_t> comparisons_in_flight_;
-  // Pairs whose owner failed before publishing; adopted by the next
-  // session that waits on them.
-  std::unordered_set<std::uint64_t> comparisons_abandoned_;
+  // Claimed pairs, key -> abandoned: in flight under their owner (false),
+  // or parked by an owner that failed (true) until a session adopts them.
+  // Abandoning only flips the flag, so ~ComparisonClaim cannot fail.
+  std::unordered_map<std::uint64_t, bool> comparisons_;
 };
 
 }  // namespace queryer

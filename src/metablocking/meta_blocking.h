@@ -14,6 +14,8 @@
 
 namespace queryer {
 
+class TraceSink;
+
 /// \brief Which refinement steps run; paper Table 8 evaluates ALL, BP+BF,
 /// and BP+EP.
 struct MetaBlockingConfig {
@@ -52,16 +54,22 @@ struct MetaBlockingResult {
   std::size_t blocks_after_filtering = 0;
   /// Distinct query-relevant pairs before Edge Pruning.
   std::size_t comparisons_before_pruning = 0;
+  /// Wall seconds per stage; edge pruning's covers the pair pass too.
+  double purging_seconds = 0;
+  double filtering_seconds = 0;
+  double edge_pruning_seconds = 0;
 };
 
 /// \brief Runs the configured refinement steps over an enriched block
 /// collection (the EQBI of Block-Join) and returns the surviving
 /// comparisons. A multi-worker `pool` parallelizes the edge weighting and
 /// the purging/filtering size statistics; results are identical at every
-/// thread count (see the per-stage headers).
+/// thread count (see the per-stage headers). `trace` (may be null)
+/// receives one span per stage that runs.
 MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
                                    const MetaBlockingConfig& config,
-                                   ThreadPool* pool = nullptr);
+                                   ThreadPool* pool = nullptr,
+                                   TraceSink* trace = nullptr);
 
 }  // namespace queryer
 

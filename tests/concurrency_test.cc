@@ -77,9 +77,10 @@ TEST(LinkIndexProtocolTest, PublishLinksCountsOnlyRealMerges) {
   LinkIndex li(6);
   std::uint64_t epoch0 = li.epoch();
   // {0,1,2} via two links plus one redundant, {4,5} via one.
-  std::size_t merged =
+  Result<std::size_t> merged =
       li.PublishLinks({{0, 1}, {1, 2}, {0, 2}, {4, 5}});
-  EXPECT_EQ(merged, 3u);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 3u);
   EXPECT_EQ(li.num_links(), 3u);
   // One batch = one epoch bump, not one per link.
   EXPECT_EQ(li.epoch(), epoch0 + 1);
@@ -87,7 +88,7 @@ TEST(LinkIndexProtocolTest, PublishLinksCountsOnlyRealMerges) {
   EXPECT_TRUE(li.AreLinked(4, 5));
   EXPECT_FALSE(li.AreLinked(2, 4));
   // Publishing again is all no-op merges.
-  EXPECT_EQ(li.PublishLinks({{0, 1}, {2, 0}}), 0u);
+  EXPECT_EQ(*li.PublishLinks({{0, 1}, {2, 0}}), 0u);
   EXPECT_EQ(li.num_links(), 3u);
 }
 
@@ -150,46 +151,70 @@ TEST(LinkIndexProtocolTest, ConcurrentReadersWhilePublishing) {
 
 TEST(ResolutionCoordinatorTest, EntityClaimsPartition) {
   LinkIndex li(8);
-  li.MarkResolvedBatch({5});
+  ASSERT_TRUE(li.MarkResolvedBatch({5}).ok());
   ResolutionCoordinator coordinator;
 
   auto first = coordinator.ClaimEntities({1, 2, 5}, li);
-  EXPECT_EQ(first.claimed, (std::vector<EntityId>{1, 2}));
+  EXPECT_EQ(first.claimed(), (std::vector<EntityId>{1, 2}));
   EXPECT_TRUE(first.foreign.empty());
   EXPECT_EQ(first.already_resolved, 1u);
 
   // A second session overlapping the first gets the leftovers only.
   auto second = coordinator.ClaimEntities({2, 3, 5}, li);
-  EXPECT_EQ(second.claimed, (std::vector<EntityId>{3}));
+  EXPECT_EQ(second.claimed(), (std::vector<EntityId>{3}));
   EXPECT_EQ(second.foreign, (std::vector<EntityId>{2}));
   EXPECT_EQ(second.already_resolved, 1u);
 
   // First session finishes: resolve, then release. A third claim must see
   // the entities as resolved, never as claimable.
-  li.MarkResolvedBatch(first.claimed);
-  coordinator.ReleaseEntities(first.claimed);
+  const std::vector<EntityId> resolved = first.claimed();
+  ASSERT_TRUE(li.MarkResolvedBatch(resolved).ok());
+  first.Release();
+  EXPECT_TRUE(first.claimed().empty());
   auto third = coordinator.ClaimEntities({1, 2, 3}, li);
-  EXPECT_TRUE(third.claimed.empty());
+  EXPECT_TRUE(third.claimed().empty());
   EXPECT_EQ(third.foreign, (std::vector<EntityId>{3}));
   EXPECT_EQ(third.already_resolved, 2u);
-  coordinator.AwaitEntities(first.claimed);  // Released: returns at once.
+  coordinator.AwaitEntities(resolved);  // Released: returns at once.
+}
+
+TEST(ResolutionCoordinatorTest, DroppedEntityClaimReleasesWithoutMarks) {
+  // A failed resolution just drops its claim: the entities are free again
+  // but still unresolved, so the next session claims them itself.
+  LinkIndex li(4);
+  ResolutionCoordinator coordinator;
+  {
+    auto failed = coordinator.ClaimEntities({1, 2}, li);
+    ASSERT_EQ(failed.claimed().size(), 2u);
+    EXPECT_EQ(coordinator.num_entities_in_flight(), 2u);
+  }
+  EXPECT_EQ(coordinator.num_entities_in_flight(), 0u);
+  auto retry = coordinator.ClaimEntities({1, 2}, li);
+  EXPECT_EQ(retry.claimed(), (std::vector<EntityId>{1, 2}));
+  // Assigning a fresh claim over a held one frees the held entities too.
+  retry = coordinator.ClaimEntities({3}, li);
+  EXPECT_EQ(coordinator.num_entities_in_flight(), 1u);
 }
 
 TEST(ResolutionCoordinatorTest, ComparisonClaimsDedupAcrossSessions) {
   ResolutionCoordinator coordinator;
   auto first = coordinator.ClaimComparisons({{1, 2}, {3, 4}});
-  EXPECT_EQ(first.owned.size(), 2u);
-  EXPECT_TRUE(first.foreign.empty());
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->owned().size(), 2u);
+  EXPECT_TRUE(first->foreign.empty());
 
   // Orientation must not matter: (2,1) is the in-flight (1,2).
   auto second = coordinator.ClaimComparisons({{2, 1}, {5, 6}});
-  EXPECT_EQ(second.owned, (std::vector<Comparison>{{5, 6}}));
-  EXPECT_EQ(second.foreign, (std::vector<Comparison>{{2, 1}}));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->owned(), (std::vector<Comparison>{{5, 6}}));
+  EXPECT_EQ(second->foreign, (std::vector<Comparison>{{2, 1}}));
 
-  coordinator.ReleaseComparisons(first.owned);
-  coordinator.AwaitComparisons(second.foreign);  // Returns at once now.
+  first->Release();
+  // Returns at once now, adopting nothing.
+  EXPECT_TRUE(coordinator.AwaitComparisons(second->foreign).owned().empty());
   auto third = coordinator.ClaimComparisons({{1, 2}});
-  EXPECT_EQ(third.owned.size(), 1u);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->owned().size(), 1u);
 }
 
 TEST(ResolutionCoordinatorTest, AbandonedComparisonsAreAdoptedByWaiters) {
@@ -198,31 +223,40 @@ TEST(ResolutionCoordinatorTest, AbandonedComparisonsAreAdoptedByWaiters) {
   ResolutionCoordinator coordinator;
   auto owner = coordinator.ClaimComparisons({{1, 2}, {3, 4}});
   auto waiter = coordinator.ClaimComparisons({{1, 2}});
-  ASSERT_EQ(waiter.foreign, (std::vector<Comparison>{{1, 2}}));
+  ASSERT_TRUE(owner.ok() && waiter.ok());
+  ASSERT_EQ(waiter->foreign, (std::vector<Comparison>{{1, 2}}));
 
-  coordinator.AbandonComparisons(owner.owned);
-  std::vector<Comparison> adopted = coordinator.AwaitComparisons(waiter.foreign);
-  EXPECT_EQ(adopted, (std::vector<Comparison>{{1, 2}}));
+  // The owner fails: replacing its claim with the error drops the claim,
+  // which abandons both pairs.
+  owner = Status::Internal("owner failed before publishing");
+  EXPECT_EQ(coordinator.num_comparisons_abandoned(), 2u);
+
+  ResolutionCoordinator::ComparisonClaim adopted =
+      coordinator.AwaitComparisons(waiter->foreign);
+  EXPECT_EQ(adopted.owned(), (std::vector<Comparison>{{1, 2}}));
 
   // The adopted pair is in flight under the waiter: foreign to others.
   auto third = coordinator.ClaimComparisons({{1, 2}, {3, 4}});
-  EXPECT_EQ(third.foreign, (std::vector<Comparison>{{1, 2}}));
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->foreign, (std::vector<Comparison>{{1, 2}}));
   // (3,4) was abandoned but never awaited; the fresh claim adopts it, so
   // it must not resurface when someone later waits on it.
-  EXPECT_EQ(third.owned, (std::vector<Comparison>{{3, 4}}));
-  coordinator.ReleaseComparisons(third.owned);
-  EXPECT_TRUE(coordinator.AwaitComparisons({{3, 4}}).empty());
+  EXPECT_EQ(third->owned(), (std::vector<Comparison>{{3, 4}}));
+  third->Release();
+  EXPECT_TRUE(coordinator.AwaitComparisons({{3, 4}}).owned().empty());
 
-  coordinator.ReleaseComparisons(adopted);
+  adopted.Release();
   // After the waiter publishes and releases, the pair settles normally.
-  EXPECT_TRUE(coordinator.AwaitComparisons({{2, 1}}).empty());
+  EXPECT_TRUE(coordinator.AwaitComparisons({{2, 1}}).owned().empty());
+  EXPECT_EQ(coordinator.num_comparisons_in_flight(), 0u);
+  EXPECT_EQ(coordinator.num_comparisons_abandoned(), 0u);
 }
 
 TEST(ResolutionCoordinatorTest, AwaitBlocksUntilRelease) {
-  ResolutionCoordinator coordinator;
   LinkIndex li(4);
+  ResolutionCoordinator coordinator;
   auto claim = coordinator.ClaimEntities({1}, li);
-  ASSERT_EQ(claim.claimed.size(), 1u);
+  ASSERT_EQ(claim.claimed().size(), 1u);
 
   std::atomic<bool> awaited{false};
   std::thread waiter([&] {
@@ -232,7 +266,7 @@ TEST(ResolutionCoordinatorTest, AwaitBlocksUntilRelease) {
   // The waiter cannot finish before the release.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(awaited.load());
-  coordinator.ReleaseEntities(claim.claimed);
+  claim.Release();
   waiter.join();
   EXPECT_TRUE(awaited.load());
 }

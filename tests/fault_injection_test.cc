@@ -296,6 +296,10 @@ Rows* FaultInjectionTest::reference_rows_ = nullptr;
 // path serves a lone session and concurrent ones, and at either width a
 // failed transaction publishes nothing.
 constexpr std::size_t kMaxConcurrentWidths[] = {1, 2};
+// The publish and claim sites fail by returning a Status in `error` mode
+// and by throwing in `throw` mode; the claim owners must clean up after
+// both, the second by unwinding.
+constexpr const char* kFailureModes[] = {"error", "throw"};
 
 // An injected comparison-chunk failure aborts the resolution transaction:
 // the session fails with a message naming the site and the session, no
@@ -330,56 +334,62 @@ TEST_F(FaultInjectionTest, ChunkFailureAbandonsClaimsAndEngineRecovers) {
   }
 }
 
-// li.publish throws BEFORE any mutation (all-or-nothing publish): a failed
+// li.publish fails BEFORE any mutation (all-or-nothing publish): a failed
 // session leaves link count and epoch exactly where they were, and the
 // fault-free retry still answers identically to the clean reference.
 TEST_F(FaultInjectionTest, PublishFailureLeavesLinkIndexUntouched) {
-  for (std::size_t max_concurrent : kMaxConcurrentWidths) {
-    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
-    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                             /*num_threads=*/1, max_concurrent);
-    auto runtime = engine->GetRuntime("dsd");
-    ASSERT_TRUE(runtime.ok());
-    const std::size_t links_before = (*runtime)->link_index().num_links();
-    const std::uint64_t epoch_before = (*runtime)->link_index().epoch();
-    {
-      ScopedFailpoint armed("li.publish", "throw");
-      auto failed = engine->Execute(kDedupQuery);
-      ASSERT_FALSE(failed.ok());
-      EXPECT_NE(failed.status().message().find("li.publish"),
-                std::string::npos)
-          << failed.status().ToString();
+  for (const char* mode : kFailureModes) {
+    for (std::size_t max_concurrent : kMaxConcurrentWidths) {
+      SCOPED_TRACE(std::string(mode) +
+                   " max_concurrent=" + std::to_string(max_concurrent));
+      auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
+                               /*num_threads=*/1, max_concurrent);
+      auto runtime = engine->GetRuntime("dsd");
+      ASSERT_TRUE(runtime.ok());
+      const std::size_t links_before = (*runtime)->link_index().num_links();
+      const std::uint64_t epoch_before = (*runtime)->link_index().epoch();
+      {
+        ScopedFailpoint armed("li.publish", mode);
+        auto failed = engine->Execute(kDedupQuery);
+        ASSERT_FALSE(failed.ok());
+        EXPECT_NE(failed.status().message().find("li.publish"),
+                  std::string::npos)
+            << failed.status().ToString();
+      }
+      EXPECT_EQ((*runtime)->link_index().num_links(), links_before);
+      EXPECT_EQ((*runtime)->link_index().epoch(), epoch_before);
+      ExpectNoClaims(engine.get(), {"dsd"});
+      auto retry = engine->Execute(kDedupQuery);
+      ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+      EXPECT_EQ(retry->rows, *reference_rows_);
     }
-    EXPECT_EQ((*runtime)->link_index().num_links(), links_before);
-    EXPECT_EQ((*runtime)->link_index().epoch(), epoch_before);
-    ExpectNoClaims(engine.get(), {"dsd"});
-    auto retry = engine->Execute(kDedupQuery);
-    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-    EXPECT_EQ(retry->rows, *reference_rows_);
   }
 }
 
-// A claim-transaction failure (coordinator.claim_comparisons throws before
+// A claim-transaction failure (coordinator.claim_comparisons fails before
 // mutating the dedup table) releases the session's entity claims, so an
 // immediately following session resolves the same entities to the clean
 // answer.
 TEST_F(FaultInjectionTest, ClaimFailureReleasesEntityClaims) {
-  for (std::size_t max_concurrent : kMaxConcurrentWidths) {
-    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
-    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                             /*num_threads=*/1, max_concurrent);
-    auto runtime = engine->GetRuntime("dsd");
-    ASSERT_TRUE(runtime.ok());
-    {
-      ScopedFailpoint armed("coordinator.claim_comparisons", "throw");
-      auto failed = engine->Execute(kDedupQuery);
-      ASSERT_FALSE(failed.ok());
+  for (const char* mode : kFailureModes) {
+    for (std::size_t max_concurrent : kMaxConcurrentWidths) {
+      SCOPED_TRACE(std::string(mode) +
+                   " max_concurrent=" + std::to_string(max_concurrent));
+      auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
+                               /*num_threads=*/1, max_concurrent);
+      auto runtime = engine->GetRuntime("dsd");
+      ASSERT_TRUE(runtime.ok());
+      {
+        ScopedFailpoint armed("coordinator.claim_comparisons", mode);
+        auto failed = engine->Execute(kDedupQuery);
+        ASSERT_FALSE(failed.ok());
+      }
+      EXPECT_EQ((*runtime)->link_index().num_links(), 0u);
+      ExpectNoClaims(engine.get(), {"dsd"});
+      auto retry = engine->Execute(kDedupQuery);
+      ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+      EXPECT_EQ(retry->rows, *reference_rows_);
     }
-    EXPECT_EQ((*runtime)->link_index().num_links(), 0u);
-    ExpectNoClaims(engine.get(), {"dsd"});
-    auto retry = engine->Execute(kDedupQuery);
-    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-    EXPECT_EQ(retry->rows, *reference_rows_);
   }
 }
 

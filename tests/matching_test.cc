@@ -254,8 +254,8 @@ TEST(LinkIndexTest, TransitiveClosure) {
 
 TEST(LinkIndexTest, RedundantLinkIgnored) {
   LinkIndex li(4);
-  EXPECT_EQ(li.PublishLinks({{0, 1}, {1, 0}}), 1u);
-  EXPECT_EQ(li.PublishLinks({{0, 1}}), 0u);
+  EXPECT_EQ(*li.PublishLinks({{0, 1}, {1, 0}}), 1u);
+  EXPECT_EQ(*li.PublishLinks({{0, 1}}), 0u);
   EXPECT_EQ(li.num_links(), 1u);
   EXPECT_EQ(li.Cluster(0).size(), 2u);
 }
@@ -282,7 +282,7 @@ TEST(LinkIndexTest, ResetClearsEverything) {
   LinkIndex li(4);
   li.PublishLinks({{0, 1}});
   li.MarkResolvedBatch({0});
-  li.Reset();
+  ASSERT_TRUE(li.Reset().ok());
   EXPECT_FALSE(li.AreLinked(0, 1));
   EXPECT_FALSE(li.IsResolved(0));
   EXPECT_EQ(li.num_resolved(), 0u);

@@ -160,8 +160,8 @@ TEST(LinkIndexTest, PublishLinksReportsMerges) {
   LinkIndex li(4);
   // (1, 3) is linked transitively by the three links before it: no merge,
   // no count.
-  EXPECT_EQ(li.PublishLinks({{0, 1}, {2, 3}, {0, 2}, {1, 3}}), 3u);
-  EXPECT_EQ(li.PublishLinks({{3, 0}}), 0u);
+  EXPECT_EQ(*li.PublishLinks({{0, 1}, {2, 3}, {0, 2}, {1, 3}}), 3u);
+  EXPECT_EQ(*li.PublishLinks({{3, 0}}), 0u);
   EXPECT_EQ(li.num_links(), 3u);
 }
 
@@ -209,7 +209,7 @@ ComparisonExecStats ReferenceLoop(const Table& table,
     }
     ++stats.executed;
     if (ProfileSimilarity(table, a, b, config, weights) >= config.threshold) {
-      stats.matches_found += li->PublishLinks({{a, b}});
+      stats.matches_found += *li->PublishLinks({{a, b}});
     }
   }
   return stats;

@@ -208,7 +208,7 @@ TEST(DurableLinkIndexTest, TornAppendIsTruncatedAndAckedStateSurvives) {
     // Crash mid-append: the failpoint writes a torn half-record and fails
     // the publish; the in-memory index must stay untouched...
     ScopedFailpoint armed("li.log_append", "error(once)");
-    EXPECT_THROW(index.PublishLinks({{4, 5}}), LinkIndexWalError);
+    EXPECT_FALSE(index.PublishLinks({{4, 5}}).ok());
     EXPECT_EQ(IndexState::Capture(index), acked);
   }  // ...and the process "dies" with the torn tail on disk.
   const std::uint64_t torn_before =
@@ -241,7 +241,7 @@ TEST(DurableLinkIndexTest, TornAppendOverwrittenByNextSuccessfulAppend) {
     index.PublishLinks({{0, 1}});
     {
       ScopedFailpoint armed("li.log_append", "error(once)");
-      EXPECT_THROW(index.PublishLinks({{2, 3}}), LinkIndexWalError);
+      EXPECT_FALSE(index.PublishLinks({{2, 3}}).ok());
     }
     index.PublishLinks({{4, 5}});  // Overwrites the torn bytes.
     index.MarkResolvedBatch({0, 1, 4, 5});
@@ -412,8 +412,7 @@ TEST_F(CrashDrillTest, RecoveredStateSkipsAlreadyResolvedWork) {
     ScopedFailpoint armed("li.log_append", "error");
     auto runtime = crashing.GetRuntime("dsd");
     ASSERT_TRUE(runtime.ok());
-    EXPECT_THROW((*runtime)->link_index().PublishLinks({{0, 1}}),
-                 LinkIndexWalError);
+    EXPECT_FALSE((*runtime)->link_index().PublishLinks({{0, 1}}).ok());
   }
   EngineOptions options;
   options.data_dir = data_dir;
@@ -424,6 +423,46 @@ TEST_F(CrashDrillTest, RecoveredStateSkipsAlreadyResolvedWork) {
   EXPECT_EQ(result->rows, *reference_rows_);
   EXPECT_EQ(result->stats.comparisons_executed, 0u)
       << "everything before the torn tail was already resolved";
+}
+
+// A WAL append failure outside the Deduplicator — in whole-table batch
+// cleaning (BA: the batch publish) or in the without-LI arm (the Link Index
+// reset at Open) — comes back from Execute as an error Status naming the
+// failpoint, never as an exception, and a fault-free rerun on the same
+// engine answers like a clean engine running the same arm.
+TEST_F(CrashDrillTest, LogAppendFailureInBatchAndWithoutLinkIndexArmsIsAStatus) {
+  struct Arm {
+    const char* name;
+    ExecutionMode mode;
+    bool use_link_index;
+  };
+  const Arm arms[] = {{"batch", ExecutionMode::kBatch, true},
+                      {"without_li", ExecutionMode::kAdvanced, false}};
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    EngineOptions options;
+    options.mode = arm.mode;
+    options.use_link_index = arm.use_link_index;
+    QueryEngine clean(options);
+    ASSERT_TRUE(clean.RegisterCsvFile(*csv_path_, "dsd").ok());
+    auto expected = clean.Execute(kDedupSql);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    options.data_dir = ScratchDir(std::string("log_append_") + arm.name);
+    QueryEngine engine(options);
+    ASSERT_TRUE(engine.RegisterCsvFile(*csv_path_, "dsd").ok());
+    {
+      ScopedFailpoint armed("li.log_append", "error");
+      auto failed = engine.Execute(kDedupSql);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_NE(failed.status().message().find("li.log_append"),
+                std::string::npos)
+          << failed.status().ToString();
+    }
+    auto rerun = engine.Execute(kDedupSql);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    EXPECT_EQ(rerun->rows, expected->rows);
+  }
 }
 
 // ---- Seeded chaos: write -> crash -> recover loops -----------------------
